@@ -54,6 +54,6 @@ pub mod replica;
 
 pub use client::Client;
 pub use cluster::{log_cluster, logs_agree, prefix_identical, LogClusterBuilder, LogConfig};
-pub use msg::{AppMsg, LogCmd, LogMsg, Snapshot};
+pub use msg::{AppMsg, ClientMark, LogCmd, LogMsg, Snapshot};
 pub use node::{LogProc, Replica};
 pub use replica::{ReplicatedLog, LOG_FLUSH};

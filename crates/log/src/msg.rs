@@ -4,6 +4,7 @@
 use gmp_core::Msg;
 use gmp_sim::Message;
 use gmp_types::{ProcessId, Ver};
+use std::collections::BTreeSet;
 
 /// A client command. The log stores command *identities*; `(client, seq)`
 /// is unique because each client numbers its own requests. Slot fillers
@@ -37,20 +38,70 @@ impl LogCmd {
 ///
 /// The floor invariant: every slot `< floor` is committed (decided and
 /// applied) at the snapshot's producer, and `clients` holds the dedup
-/// high-water mark — the last committed `(seq, slot)` — of every client
-/// with a command anywhere in `[0, floor)` *or* in the producer's applied
-/// suffix (carrying the suffix marks too costs nothing and lets receivers
-/// adopt the map wholesale). Client sequence numbers commit in order per
-/// client (FIFO links, see the module docs of [`crate::replica`]), so one
-/// `(seq, slot)` pair per client is a complete dedup summary.
+/// summary of every client with a command anywhere in `[0, floor)` *or* in
+/// the producer's applied suffix (carrying the suffix too costs nothing and
+/// lets receivers merge the map wholesale).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// First slot *not* covered: everything below is committed and
     /// summarized here.
     pub floor: u64,
-    /// Per-client dedup high-water marks `(client, last seq, its slot)`,
-    /// sorted by client id.
-    pub clients: Vec<(ProcessId, u64, u64)>,
+    /// Per-client dedup summaries, sorted by client id.
+    pub clients: Vec<(ProcessId, ClientMark)>,
+}
+
+/// One client's exactly-once summary: exactly which of its sequence
+/// numbers have committed.
+///
+/// A client's seqs usually commit in order, but not always: with a window
+/// of requests in flight, a leader failover can commit a later seq under
+/// the new leader before the earlier ones are re-proposed. So the summary
+/// is the contiguous committed prefix plus the seqs committed above it —
+/// at most one client window of them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ClientMark {
+    /// Every seq below this has committed.
+    pub prefix: u64,
+    /// The committed seqs above `prefix`.
+    pub above: BTreeSet<u64>,
+    /// The highest committed seq and its slot: the answer to a duplicate
+    /// whose exact slot was compacted away (clients match replies by seq
+    /// alone), and the reply a new leader re-sends on failover.
+    pub last: (u64, u64),
+}
+
+impl ClientMark {
+    /// True if `seq` has committed.
+    pub(crate) fn contains(&self, seq: u64) -> bool {
+        seq < self.prefix || self.above.contains(&seq)
+    }
+
+    /// Records that `seq` committed at `slot` (idempotent).
+    pub(crate) fn commit(&mut self, seq: u64, slot: u64) {
+        if seq >= self.last.0 {
+            self.last = (seq, slot);
+        }
+        if seq >= self.prefix {
+            self.above.insert(seq);
+        }
+        while self.above.remove(&self.prefix) {
+            self.prefix += 1;
+        }
+    }
+
+    /// Adds everything `other` knows to have committed.
+    pub(crate) fn merge(&mut self, other: &ClientMark) {
+        if other.last.0 >= self.last.0 {
+            self.last = other.last;
+        }
+        self.prefix = self.prefix.max(other.prefix);
+        let prefix = self.prefix;
+        self.above.extend(&other.above);
+        self.above.retain(|&s| s >= prefix);
+        while self.above.remove(&self.prefix) {
+            self.prefix += 1;
+        }
+    }
 }
 
 /// Replicated-log protocol messages.

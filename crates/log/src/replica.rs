@@ -36,10 +36,12 @@
 //!
 //! Replicas maintain a **compaction floor**: every slot below it is
 //! committed and summarized by a [`Snapshot`] — the floor itself plus one
-//! `(last seq, slot)` dedup high-water mark per client. The mark is a
-//! complete dedup summary because links are FIFO and the leader proposes
-//! in admission order, so each client's sequence numbers commit in
-//! monotone order: `seq ≤ mark` ⇔ committed. Once `logical_len - floor >
+//! [`ClientMark`] per client: its contiguous committed prefix of sequence
+//! numbers plus the seqs committed above that prefix. Links are FIFO and
+//! the leader proposes in admission order, so a client's seqs normally
+//! commit in order and the set above the prefix is empty; across a leader
+//! failover a later seq can commit before earlier ones are re-proposed,
+//! and the mark stays exact through that too. Once `logical_len - floor >
 //! 2·compact_keep`, the floor advances to `logical_len - compact_keep`
 //! and `accepted`/`parked`/`by_cmd` are pruned below it — replica hot
 //! state is bounded by the window, not the run length. Joiner `Sync`
@@ -57,7 +59,7 @@
 //! the excluded members) still intersects it whenever the group itself
 //! stayed a majority — the same bound the membership layer already lives
 //! under (Fig. 8's `μ_Mgr`). On completing recovery the new leader also
-//! re-sends each client's high-water `Reply`: a command decided under the
+//! re-sends each client's highest committed `Reply`: a command decided under the
 //! dead leader may have lost its reply with the crash, and the re-reply
 //! is what unsticks that client without waiting for its retry sweep.
 //!
@@ -68,7 +70,7 @@
 //! flush *request* ([`take_flush_request`](ReplicatedLog::take_flush_request))
 //! the hosting node converts into a [`LOG_FLUSH`] timer.
 
-use crate::msg::{LogCmd, LogMsg, Snapshot};
+use crate::msg::{ClientMark, LogCmd, LogMsg, Snapshot};
 use gmp_core::MemberEvent;
 use gmp_types::{ProcessId, Ver};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -93,7 +95,7 @@ struct LeaderState {
     queue: VecDeque<LogCmd>,
     /// Leader-side dedup: mirror of `queue` ∪ `in_flight`. Entries leave
     /// when their command is learned; committed dedup is `by_cmd` and the
-    /// per-client high-water marks, so this set stays window-sized.
+    /// per-client marks, so this set stays window-sized.
     admitted: BTreeSet<LogCmd>,
     /// Proposed, awaiting a quorum of acks. Keyed by slot.
     in_flight: BTreeMap<u64, Accepting>,
@@ -150,14 +152,13 @@ pub struct ReplicatedLog {
     /// Local simulated time each slot was applied.
     applied_at: Vec<Time>,
     /// Compaction floor: every slot below is committed and summarized by
-    /// the per-client high-water marks. `base ≤ floor ≤ logical_len`.
+    /// the per-client marks. `base ≤ floor ≤ logical_len`.
     floor: u64,
     /// Slot of each applied client command at slot ≥ `floor` (exact
     /// duplicate replies above the floor; the marks answer below it).
     by_cmd: BTreeMap<LogCmd, u64>,
-    /// Per-client dedup high-water mark: `client → (last committed seq,
-    /// its slot)`. Complete because per-client seqs commit in order.
-    client_hwm: BTreeMap<ProcessId, (u64, u64)>,
+    /// Per-client dedup summary: exactly which seqs have committed.
+    client_marks: BTreeMap<ProcessId, ClientMark>,
     /// Processes the membership layer currently suspects.
     suspected: BTreeSet<ProcessId>,
     /// Leader-only state, while this process is `Mgr`.
@@ -213,7 +214,7 @@ impl ReplicatedLog {
             applied_at: Vec::new(),
             floor: 0,
             by_cmd: BTreeMap::new(),
-            client_hwm: BTreeMap::new(),
+            client_marks: BTreeMap::new(),
             suspected: BTreeSet::new(),
             lead: None,
             max_inflight,
@@ -263,7 +264,7 @@ impl ReplicatedLog {
     }
 
     /// The compaction floor: every slot below it is committed here and
-    /// summarized by the per-client high-water marks.
+    /// summarized by the per-client marks.
     pub fn floor(&self) -> u64 {
         self.floor
     }
@@ -280,7 +281,7 @@ impl ReplicatedLog {
             self.accepted.len(),
             self.parked.len(),
             self.by_cmd.len(),
-            self.client_hwm.len(),
+            self.client_marks.len(),
         )
     }
 
@@ -633,7 +634,7 @@ impl ReplicatedLog {
         if let Some(slot) = self.committed_slot_of(&cmd) {
             // Committed duplicate (client re-sent across a failover the
             // first reply did not survive): answer from the log above the
-            // floor, or from the client's high-water mark below it.
+            // floor, or from the client's mark below it.
             self.outbox
                 .push((client, LogMsg::Reply { seq: cmd.seq, slot }));
             return;
@@ -653,17 +654,15 @@ impl ReplicatedLog {
     }
 
     /// The committed slot of `cmd`, if it committed: exact from `by_cmd`
-    /// above the floor, else inferred from the client's high-water mark
-    /// (`seq ≤ mark` ⇔ committed; the mark's slot stands in for the
-    /// pruned exact slot — clients match replies by `seq` alone).
+    /// above the floor, else from the client's mark (whose highest slot
+    /// stands in for the pruned exact slot — clients match replies by
+    /// `seq` alone).
     fn committed_slot_of(&self, cmd: &LogCmd) -> Option<u64> {
         if let Some(&slot) = self.by_cmd.get(cmd) {
             return Some(slot);
         }
-        match self.client_hwm.get(&cmd.client) {
-            Some(&(seq, slot)) if seq >= cmd.seq => Some(slot),
-            _ => None,
-        }
+        let mark = self.client_marks.get(&cmd.client)?;
+        mark.contains(cmd.seq).then_some(mark.last.1)
     }
 
     /// Asks the hosting node for a flush timer, once per armed window.
@@ -812,11 +811,10 @@ impl ReplicatedLog {
             self.applied_at.push(now);
             if !cmd.is_noop() {
                 self.by_cmd.insert(cmd, slot);
-                let mark = self.client_hwm.entry(cmd.client).or_insert((cmd.seq, slot));
-                // ≥, not >: a snapshot may have pre-adopted this very mark.
-                if cmd.seq >= mark.0 {
-                    *mark = (cmd.seq, slot);
-                }
+                self.client_marks
+                    .entry(cmd.client)
+                    .or_default()
+                    .commit(cmd.seq, slot);
             }
         }
         self.maybe_compact();
@@ -842,28 +840,25 @@ impl ReplicatedLog {
     }
 
     /// The compacted summary of everything below the floor: the floor plus
-    /// every client's dedup high-water mark.
+    /// every client's dedup mark.
     fn snapshot(&self) -> Snapshot {
         Snapshot {
             floor: self.floor,
             clients: self
-                .client_hwm
+                .client_marks
                 .iter()
-                .map(|(&c, &(seq, slot))| (c, seq, slot))
+                .map(|(&c, mark)| (c, mark.clone()))
                 .collect(),
         }
     }
 
-    /// Installs a received snapshot: adopt any newer client marks, and if
+    /// Installs a received snapshot: merge in its client marks, and if
     /// the snapshot's floor is ahead of our applied prefix, restart the
     /// applied vectors at it (the pruned prefix is summarized, not lost —
     /// that is the floor invariant).
     fn install_snapshot(&mut self, snap: Snapshot) {
-        for (client, seq, slot) in snap.clients {
-            let mark = self.client_hwm.entry(client).or_insert((seq, slot));
-            if seq >= mark.0 {
-                *mark = (seq, slot);
-            }
+        for (client, mark) in snap.clients {
+            self.client_marks.entry(client).or_default().merge(&mark);
         }
         if snap.floor > self.logical_len() {
             self.committed.clear();
@@ -885,7 +880,7 @@ impl ReplicatedLog {
     /// Completes the recovery round once every awaited response is in:
     /// adopt the highest-ballot entry per slot, fill gaps with no-ops,
     /// re-propose everything above the committed prefix, re-send each
-    /// client's high-water reply, then serve the queue.
+    /// client's highest committed reply, then serve the queue.
     fn finish_recovery_if_ready(&mut self, now: Time) {
         let floor_slot = self.logical_len();
         let Some(lead) = &mut self.lead else { return };
@@ -946,14 +941,10 @@ impl ReplicatedLog {
         }
         // Failover re-reply: a command decided under the dead leader may
         // have lost its reply with the crash. One reply per known client
-        // (its high-water mark) unsticks any such client immediately;
-        // completed clients ignore it by seq.
-        let replies: Vec<(ProcessId, u64, u64)> = self
-            .client_hwm
-            .iter()
-            .map(|(&c, &(seq, slot))| (c, seq, slot))
-            .collect();
-        for (client, seq, slot) in replies {
+        // (its highest committed seq) unsticks any such client
+        // immediately; completed clients ignore it by seq.
+        for (&client, mark) in &self.client_marks {
+            let (seq, slot) = mark.last;
             self.outbox.push((client, LogMsg::Reply { seq, slot }));
         }
         if self.batch_max > 1 {
@@ -1401,7 +1392,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Compaction, snapshots, high-water dedup
+    // Compaction, snapshots, dedup marks
     // ------------------------------------------------------------------
 
     /// A solitary leader (quorum 1) that has committed `ops` commands
@@ -1467,7 +1458,12 @@ mod tests {
         };
         assert_eq!(*from, 15);
         assert_eq!(snap.floor, 15);
-        assert_eq!(snap.clients, vec![(ProcessId(9), 19, 19)]);
+        let mark = ClientMark {
+            prefix: 20,
+            above: BTreeSet::new(),
+            last: (19, 19),
+        };
+        assert_eq!(snap.clients, vec![(ProcessId(9), mark)]);
         assert_eq!(entries.len(), 5, "O(tail), not O(log)");
         // A fresh replica boots from it: vectors restart at the floor.
         let mut joiner = ReplicatedLog::new(8);
@@ -1553,8 +1549,69 @@ mod tests {
             out.iter().any(
                 |(to, m)| *to == ProcessId(9) && matches!(m, LogMsg::Reply { seq: 0, slot: 0 })
             ),
-            "recovery completion re-replies the client's high-water mark"
+            "recovery completion re-replies the client's highest committed seq"
         );
+    }
+
+    #[test]
+    fn seqs_committed_out_of_order_leave_the_gap_proposable() {
+        // (9,0) commits under the old leader p0, at ballot 0.
+        let mut log = ReplicatedLog::new(8);
+        log.bind(ProcessId(1));
+        installed(&mut log, 0, 0);
+        let decide = LogMsg::Decide {
+            ballot: 0,
+            slot: 0,
+            cmd: cmd(9, 0),
+        };
+        log.on_message(ProcessId(0), decide, 5);
+        // p1 takes over at ballot 1, and the client's (9,3) reaches it
+        // before the retries of (9,1) and (9,2): it commits first.
+        log.on_member_event(
+            MemberEvent::ViewInstalled {
+                ver: 1,
+                members: vec![ProcessId(1), ProcessId(2)],
+                mgr: ProcessId(1),
+            },
+            10,
+        );
+        recover_ok_empty(&mut log, 2, 1, 11);
+        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 3) }, 12);
+        log.on_message(ProcessId(2), LogMsg::AcceptOk { ballot: 1, slot: 1 }, 13);
+        assert_eq!(log.committed(), &[cmd(9, 0), cmd(9, 3)]);
+        log.take_outbox();
+        // The retry of (9,1) is proposed, not answered as committed.
+        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 1) }, 14);
+        let out = log.take_outbox();
+        assert!(
+            out.iter().any(
+                |(_, m)| matches!(m, LogMsg::Accept { slot: 2, cmd: c, .. } if *c == cmd(9, 1))
+            ),
+            "(9,1) must be proposed: {out:?}"
+        );
+        assert!(!out.iter().any(|(_, m)| matches!(m, LogMsg::Reply { .. })));
+        // The snapshot carries the gap: a replica booted from it proposes
+        // (9,1) too, and still answers (9,3) as a duplicate.
+        let snap = log.snapshot();
+        let mut solo = ReplicatedLog::new(8);
+        solo.bind(ProcessId(3));
+        solo.on_member_event(
+            MemberEvent::ViewInstalled {
+                ver: 2,
+                members: vec![ProcessId(3)],
+                mgr: ProcessId(3),
+            },
+            20,
+        );
+        solo.install_snapshot(snap);
+        for (seq, committed) in [(0, true), (1, false), (2, false), (3, true)] {
+            let found = solo.committed_slot_of(&cmd(9, seq)).is_some();
+            assert_eq!(found, committed, "seq {seq}");
+        }
+        solo.take_outbox();
+        solo.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 1) }, 21);
+        solo.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 3) }, 22);
+        assert_eq!(solo.committed(), &[cmd(9, 1)]);
     }
 
     #[test]

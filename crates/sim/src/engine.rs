@@ -1,17 +1,31 @@
-//! The discrete-event engine: deterministic scheduling, fault injection,
-//! causal stamping.
+//! The discrete-event engine: the global half of a run, the public [`Sim`]
+//! API, and the event loop shared by both drivers.
+//!
+//! Per-event semantics live in one place, the executor in `exec.rs`. This
+//! module owns everything whose mutation order is globally visible — the
+//! queue, the run RNG, `seq`/`msg_id` allocation, link state, held
+//! messages, statistics and the trace — and one event loop
+//! ([`Global::run`]) that pops events in `(time, seq)` order, turns each
+//! into process-local [`Work`], and hands it to a [`Driver`]. The
+//! sequential driver is the process-local half itself: it executes the
+//! work on the spot and the executor applies its effects straight to the
+//! global half. The sharded driver (`shard.rs`) runs the same executor on
+//! worker threads and replays the recorded effects here in dispatch order.
+//! Fault-injection controls are applied by the loop itself, between
+//! batches.
 
+use crate::exec::{Effect, Effects, Local, SendCrash, Slot, Work};
 use crate::net::{BlockMode, NetState};
-use crate::node::{Action, Ctx, Message, Node, TimerId};
+use crate::node::{Message, Node};
 use crate::stats::Stats;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::Time;
-use gmp_causality::{CowClock, LamportClock, Stamp};
+use gmp_causality::{CowClock, Stamp};
 use gmp_types::ProcessId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 /// Liveness status of a simulated process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,32 +100,21 @@ impl Builder {
     /// Builds an empty simulator; add nodes with [`Sim::add_node`].
     pub fn build<M: Message, N: Node<M>>(self) -> Sim<M, N> {
         Sim {
-            slots: Vec::new(),
-            queue: BinaryHeap::new(),
-            held: HashMap::new(),
-            net: NetState::new(self.delay_min, self.delay_max, self.fifo),
-            rng: SmallRng::seed_from_u64(self.seed),
-            time: 0,
-            seq: 0,
-            msg_counter: 0,
-            timer_counter: 0,
-            cancelled: HashSet::new(),
-            crash_after: Vec::new(),
-            trace: Trace::default(),
-            stats: Stats::default(),
+            local: Local { slots: Vec::new() },
+            global: Global {
+                queue: BinaryHeap::new(),
+                held: HashMap::new(),
+                net: NetState::new(self.delay_min, self.delay_max, self.fifo),
+                rng: SmallRng::seed_from_u64(self.seed),
+                time: 0,
+                seq: 0,
+                msg_counter: 0,
+                trace: Trace::default(),
+                stats: Stats::default(),
+            },
             started: false,
         }
     }
-}
-
-pub(crate) struct Slot<N> {
-    pub(crate) node: Option<N>,
-    pub(crate) status: NodeStatus,
-    /// Copy-on-write working clock: stamping an event is an O(1) snapshot,
-    /// and the vector is deep-copied only on the first advance after a
-    /// snapshot (see `gmp_causality::CowClock`).
-    pub(crate) vc: CowClock,
-    pub(crate) lamport: LamportClock,
 }
 
 #[derive(Clone, Debug)]
@@ -125,21 +128,15 @@ pub(crate) struct InFlight<M> {
     pub(crate) send_lamport: u64,
 }
 
-pub(crate) enum QKind<M> {
+enum QKind<M> {
     Deliver(InFlight<M>),
-    Timer {
-        pid: ProcessId,
-        id: TimerId,
-        tag: u64,
-    },
-    Crash {
-        pid: ProcessId,
-    },
+    Timer { pid: ProcessId, tag: u64 },
+    Crash { pid: ProcessId },
     Control(Control),
 }
 
 #[derive(Clone, Debug)]
-pub(crate) enum Control {
+enum Control {
     Partition(Vec<usize>),
     Heal,
     Block {
@@ -158,15 +155,14 @@ pub(crate) enum Control {
     },
     CrashAfterSends {
         pid: ProcessId,
-        tag: Option<&'static str>,
-        remaining: u32,
+        crash: SendCrash,
     },
 }
 
-pub(crate) struct Queued<M> {
-    pub(crate) time: Time,
-    pub(crate) seq: u64,
-    pub(crate) kind: QKind<M>,
+struct Queued<M> {
+    time: Time,
+    seq: u64,
+    kind: QKind<M>,
 }
 
 impl<M> PartialEq for Queued<M> {
@@ -186,324 +182,150 @@ impl<M> Ord for Queued<M> {
     }
 }
 
-enum Trigger<M> {
-    Start,
-    Recv {
-        from: ProcessId,
-        msg: M,
-        msg_id: u64,
-        tag: &'static str,
-        send_vc: Stamp,
-        send_lamport: u64,
-    },
-    Timer {
-        tag: u64,
-    },
-}
-
-/// A scheduled mid-broadcast crash (Figure 3): the process may perform
-/// `remaining` more sends (optionally only those matching `tag`) and is
-/// then crashed immediately after the final matching send.
-#[derive(Clone, Copy)]
-pub(crate) struct SendCrash {
-    pub(crate) tag: Option<&'static str>,
-    pub(crate) remaining: u32,
-}
-
-/// The deterministic simulator. See the crate docs for an example.
-pub struct Sim<M: Message, N: Node<M>> {
-    pub(crate) slots: Vec<Slot<N>>,
-    pub(crate) queue: BinaryHeap<Reverse<Queued<M>>>,
+/// The global half of a run.
+pub(crate) struct Global<M> {
+    queue: BinaryHeap<Reverse<Queued<M>>>,
     /// Held messages per directed link, in send order.
-    pub(crate) held: HashMap<(u32, u32), Vec<InFlight<M>>>,
-    pub(crate) net: NetState,
-    pub(crate) rng: SmallRng,
+    held: HashMap<(u32, u32), Vec<InFlight<M>>>,
+    net: NetState,
+    rng: SmallRng,
+    /// The time of the event being processed.
     pub(crate) time: Time,
-    pub(crate) seq: u64,
-    pub(crate) msg_counter: u64,
-    pub(crate) timer_counter: u64,
-    pub(crate) cancelled: HashSet<u64>,
-    /// Pending mid-broadcast crash per process, indexed by pid (the slot
-    /// table is dense, so this follows the same index-addressed scheme as
-    /// the protocol's peer arenas).
-    pub(crate) crash_after: Vec<Option<SendCrash>>,
-    pub(crate) trace: Trace,
-    pub(crate) stats: Stats,
-    pub(crate) started: bool,
+    seq: u64,
+    msg_counter: u64,
+    trace: Trace,
+    stats: Stats,
 }
 
-impl<M: Message, N: Node<M>> Sim<M, N> {
-    /// Registers a process. Must be called before the first `run_until`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation has already started.
-    pub fn add_node(&mut self, node: N) -> ProcessId {
-        assert!(
-            !self.started,
-            "cannot add nodes after the simulation started"
-        );
-        let pid = ProcessId(self.slots.len() as u32);
-        self.slots.push(Slot {
-            node: Some(node),
-            status: NodeStatus::Up,
-            vc: CowClock::new(0),
-            lamport: LamportClock::new(),
-        });
-        pid
+/// Runs the executor on behalf of the event loop.
+pub(crate) trait Driver<M> {
+    /// Executes `work` at the current time, or dispatches it for execution.
+    fn submit(&mut self, g: &mut Global<M>, work: Work<M>);
+
+    /// Applies the effects of all dispatched work in dispatch order;
+    /// returns whether there was any.
+    fn flush(&mut self, g: &mut Global<M>) -> bool;
+}
+
+/// The sequential driver: the executor runs inline and applies its effects
+/// directly, with nothing buffered.
+impl<M: Message, N: Node<M>> Driver<M> for Local<N> {
+    fn submit(&mut self, g: &mut Global<M>, work: Work<M>) {
+        let time = g.time;
+        self.execute(time, work, g);
     }
 
-    /// Number of processes in the run.
-    pub fn n(&self) -> usize {
-        self.slots.len()
+    fn flush(&mut self, _: &mut Global<M>) -> bool {
+        false
     }
+}
 
-    /// Current simulated time.
-    pub fn now(&self) -> Time {
-        self.time
+impl<M> Effects<M> for Global<M> {
+    // Inlined into the executor, so the sequential driver applies each
+    // effect in place instead of building and matching an `Effect` value.
+    #[inline(always)]
+    fn emit(&mut self, effect: Effect<M>) {
+        match effect {
+            Effect::Trace(ev) => self.trace.events.push(ev),
+            Effect::Send(mut inf) => {
+                self.msg_counter += 1;
+                inf.msg_id = self.msg_counter;
+                self.trace.events.push(TraceEvent {
+                    time: self.time,
+                    pid: inf.from,
+                    lamport: inf.send_lamport,
+                    vc: inf.send_vc.clone(),
+                    kind: TraceKind::Send {
+                        to: inf.to,
+                        msg_id: inf.msg_id,
+                        tag: inf.tag,
+                    },
+                });
+                self.stats.record_send(inf.tag);
+                match self.net.fate(inf.from, inf.to) {
+                    Some(mode) => self.block(inf, mode),
+                    None => {
+                        let at = self
+                            .net
+                            .schedule(&mut self.rng, self.time, inf.from, inf.to);
+                        self.enqueue(at, QKind::Deliver(inf));
+                    }
+                }
+            }
+            Effect::Timer { at, pid, tag } => self.enqueue(at, QKind::Timer { pid, tag }),
+            Effect::DeadReceiver => self.stats.dropped_dead_receiver += 1,
+            Effect::Blocked(inf, mode) => self.block(inf, mode),
+            Effect::Delivered(tag) => self.stats.record_delivery(tag),
+        }
     }
+}
 
-    /// The recorded run so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Message counters so far.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// Liveness status of a process.
-    pub fn status(&self, pid: ProcessId) -> NodeStatus {
-        self.slots[pid.index()].status
-    }
-
-    /// Processes that are still up.
-    pub fn living(&self) -> Vec<ProcessId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.status.is_up())
-            .map(|(i, _)| ProcessId(i as u32))
-            .collect()
-    }
-
-    /// Immutable access to a node's protocol state (for assertions).
-    pub fn node(&self, pid: ProcessId) -> &N {
-        self.slots[pid.index()]
-            .node
-            .as_ref()
-            .expect("node is present outside dispatch")
-    }
-
-    /// Mutable access to a node's protocol state (test setup only).
-    pub fn node_mut(&mut self, pid: ProcessId) -> &mut N {
-        self.slots[pid.index()]
-            .node
-            .as_mut()
-            .expect("node is present outside dispatch")
-    }
-
-    pub(crate) fn next_seq(&mut self) -> u64 {
+impl<M> Global<M> {
+    fn enqueue(&mut self, time: Time, kind: QKind<M>) {
         self.seq += 1;
-        self.seq
-    }
-
-    pub(crate) fn enqueue(&mut self, time: Time, kind: QKind<M>) {
-        let seq = self.next_seq();
+        let seq = self.seq;
         self.queue.push(Reverse(Queued { time, seq, kind }));
     }
 
-    /// Schedules a crash (`quit_p`) at the given time.
-    pub fn crash_at(&mut self, pid: ProcessId, at: Time) {
-        self.enqueue(at, QKind::Crash { pid });
-    }
-
-    /// From time `at` on, lets `pid` perform `sends` more message sends
-    /// (optionally counting only messages whose tag equals `tag`) and then
-    /// crashes it *immediately after the matching send* — i.e. possibly in
-    /// the middle of a broadcast, as in Figure 3.
-    pub fn crash_after_sends_at(
-        &mut self,
-        pid: ProcessId,
-        at: Time,
-        tag: Option<&'static str>,
-        sends: u32,
-    ) {
-        self.enqueue(
-            at,
-            QKind::Control(Control::CrashAfterSends {
-                pid,
-                tag,
-                remaining: sends,
-            }),
-        );
-    }
-
-    /// Blocks the directed link `from -> to` starting at `at`.
-    pub fn block_link_at(&mut self, from: ProcessId, to: ProcessId, mode: BlockMode, at: Time) {
-        self.enqueue(at, QKind::Control(Control::Block { from, to, mode }));
-    }
-
-    /// Unblocks the directed link `from -> to` at `at`; held messages are
-    /// then delivered (with fresh delays, preserving FIFO order).
-    pub fn unblock_link_at(&mut self, from: ProcessId, to: ProcessId, at: Time) {
-        self.enqueue(at, QKind::Control(Control::Unblock { from, to }));
-    }
-
-    /// Partitions the processes into the given groups at time `at`.
-    /// Cross-partition messages are held (unbounded delay), not lost.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at application time) if a process appears in no group.
-    pub fn partition_at(&mut self, groups: &[&[ProcessId]], at: Time) {
-        let mut assignment = vec![usize::MAX; self.slots.len()];
-        for (g, members) in groups.iter().enumerate() {
-            for p in *members {
-                assignment[p.index()] = g;
+    /// Runs every event with `time <= until` through `d`, first starting
+    /// the run's `n` processes if `start` is `Some(n)`.
+    pub(crate) fn run<D: Driver<M>>(&mut self, d: &mut D, start: Option<usize>, until: Time) {
+        if let Some(n) = start {
+            // Controls and crashes scheduled at time 0 — the only events
+            // that can be queued before the start — apply before any
+            // process takes a step, so experiments can shape the run from
+            // the very first event (e.g. arm a mid-broadcast crash for a
+            // broadcast performed in `on_start`).
+            self.drive(d, 0);
+            for i in 0..n {
+                d.submit(self, Work::Start(ProcessId(i as u32)));
             }
+            d.flush(self);
         }
-        assert!(
-            assignment.iter().all(|&g| g != usize::MAX),
-            "every process must appear in exactly one partition group"
-        );
-        self.enqueue(at, QKind::Control(Control::Partition(assignment)));
-    }
-
-    /// Heals any partition at time `at`, releasing held messages.
-    pub fn heal_at(&mut self, at: Time) {
-        self.enqueue(at, QKind::Control(Control::Heal));
-    }
-
-    /// Overrides the delay range of the directed link `from -> to` at `at`
-    /// (`None` restores the default). Used to model degraded links that
-    /// trigger spurious failure detection (§2.2).
-    pub fn set_link_delay_at(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        range: Option<(Time, Time)>,
-        at: Time,
-    ) {
-        self.enqueue(at, QKind::Control(Control::SetDelay { from, to, range }));
-    }
-
-    /// Runs the simulation, processing every event with `time <= until`.
-    pub fn run_until(&mut self, until: Time) {
-        if !self.started {
-            self.start();
-        }
-        while let Some(Reverse(top)) = self.queue.peek() {
-            if top.time > until {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked event exists");
-            self.dispatch(ev);
-        }
+        self.drive(d, until);
         self.time = self.time.max(until);
     }
 
-    fn start(&mut self) {
-        assert!(!self.slots.is_empty(), "simulation needs at least one node");
-        self.started = true;
-        let n = self.slots.len();
-        self.trace = Trace::new(n);
-        for slot in &mut self.slots {
-            slot.vc = CowClock::new(n);
-        }
-        // Apply fault-injection and link controls scheduled at time 0 before
-        // any process takes a step, so experiments can shape the run from
-        // the very first event (e.g. arm a mid-broadcast crash for a
-        // broadcast performed in `on_start`).
-        let mut deferred = Vec::new();
-        while let Some(Reverse(top)) = self.queue.peek() {
-            if top.time > 0 {
+    fn drive<D: Driver<M>>(&mut self, d: &mut D, until: Time) {
+        loop {
+            let next = match self.queue.peek() {
+                Some(Reverse(top)) if top.time <= until => {
+                    Some((top.time, matches!(top.kind, QKind::Control(_))))
+                }
+                _ => None,
+            };
+            // Dispatched work forms a batch at one timestamp; a new
+            // timestamp, a control or the horizon closes it. Applying the
+            // batch may queue more work, so look again afterwards.
+            let closes = next.is_none_or(|(time, control)| control || time != self.time);
+            if closes && d.flush(self) {
+                continue;
+            }
+            if next.is_none() {
                 break;
             }
             let Reverse(ev) = self.queue.pop().expect("peeked event exists");
-            match ev.kind {
-                QKind::Control(_) | QKind::Crash { .. } => self.dispatch(ev),
-                _ => deferred.push(ev),
-            }
-        }
-        for ev in deferred {
-            self.queue.push(Reverse(ev));
-        }
-        for i in 0..n {
-            self.invoke(ProcessId(i as u32), Trigger::Start);
+            self.time = ev.time;
+            let work = match ev.kind {
+                QKind::Control(c) => {
+                    self.apply_control(c, d);
+                    continue;
+                }
+                QKind::Deliver(inf) => Work::Deliver {
+                    // The link state is consulted at delivery time, so a
+                    // block installed after the send still catches
+                    // in-flight messages.
+                    fate: self.net.fate(inf.from, inf.to),
+                    inf,
+                },
+                QKind::Timer { pid, tag } => Work::Timer { pid, tag },
+                QKind::Crash { pid } => Work::Crash(pid),
+            };
+            d.submit(self, work);
         }
     }
 
-    fn dispatch(&mut self, ev: Queued<M>) {
-        self.time = ev.time;
-        match ev.kind {
-            QKind::Deliver(inf) => self.deliver(inf),
-            QKind::Timer { pid, id, tag } => {
-                if self.cancelled.remove(&id.0) {
-                    return;
-                }
-                if !self.slots[pid.index()].status.is_up() {
-                    return;
-                }
-                self.invoke(pid, Trigger::Timer { tag });
-            }
-            QKind::Crash { pid } => {
-                if self.slots[pid.index()].status.is_up() {
-                    self.record_lifecycle(pid, TraceKind::Crash);
-                    self.slots[pid.index()].status = NodeStatus::Crashed;
-                }
-            }
-            QKind::Control(c) => self.apply_control(c),
-        }
-    }
-
-    fn deliver(&mut self, inf: InFlight<M>) {
-        if !self.slots[inf.to.index()].status.is_up() {
-            self.stats.dropped_dead_receiver += 1;
-            return;
-        }
-        // The link state is consulted at delivery time, so a block installed
-        // after the send still catches in-flight messages.
-        match self.net.fate(inf.from, inf.to) {
-            Some(BlockMode::Hold) => {
-                self.stats.held += 1;
-                self.held
-                    .entry((inf.from.0, inf.to.0))
-                    .or_default()
-                    .push(inf);
-                return;
-            }
-            Some(BlockMode::Drop) => {
-                self.stats.dropped_link += 1;
-                return;
-            }
-            None => {}
-        }
-        self.stats.record_delivery(inf.tag);
-        let InFlight {
-            from,
-            to,
-            msg,
-            msg_id,
-            tag,
-            send_vc,
-            send_lamport,
-        } = inf;
-        self.invoke(
-            to,
-            Trigger::Recv {
-                from,
-                msg,
-                msg_id,
-                tag,
-                send_vc,
-                send_lamport,
-            },
-        );
-    }
-
-    pub(crate) fn apply_control(&mut self, c: Control) {
+    fn apply_control<D: Driver<M>>(&mut self, c: Control, d: &mut D) {
         match c {
             Control::Partition(groups) => self.net.set_partition(Some(groups)),
             Control::Heal => {
@@ -516,20 +338,27 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
                 self.release_unblocked();
             }
             Control::SetDelay { from, to, range } => self.net.set_delay_override(from, to, range),
-            Control::CrashAfterSends {
-                pid,
-                tag,
-                remaining,
-            } => {
-                if remaining == 0 {
-                    self.crash_at(pid, self.time);
+            Control::CrashAfterSends { pid, crash } => {
+                if crash.remaining == 0 {
+                    self.enqueue(self.time, QKind::Crash { pid });
                 } else {
-                    if self.crash_after.len() <= pid.index() {
-                        self.crash_after.resize(pid.index() + 1, None);
-                    }
-                    self.crash_after[pid.index()] = Some(SendCrash { tag, remaining });
+                    d.submit(self, Work::Arm { pid, crash });
                 }
             }
+        }
+    }
+
+    /// Files a message that met a blocked link: held for release, or lost.
+    fn block(&mut self, inf: InFlight<M>, mode: BlockMode) {
+        match mode {
+            BlockMode::Hold => {
+                self.stats.held += 1;
+                self.held
+                    .entry((inf.from.0, inf.to.0))
+                    .or_default()
+                    .push(inf);
+            }
+            BlockMode::Drop => self.stats.dropped_link += 1,
         }
     }
 
@@ -553,193 +382,187 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
             }
         }
     }
-
-    /// Records a crash/quit lifecycle event with proper stamping.
-    fn record_lifecycle(&mut self, pid: ProcessId, kind: TraceKind) {
-        let slot = &mut self.slots[pid.index()];
-        slot.vc.tick(pid.index());
-        let lamport = slot.lamport.tick();
-        self.trace.events.push(TraceEvent {
-            time: self.time,
-            pid,
-            lamport,
-            vc: slot.vc.stamp(),
-            kind,
-        });
-    }
-
-    fn invoke(&mut self, pid: ProcessId, trigger: Trigger<M>) {
-        let idx = pid.index();
-        if !self.slots[idx].status.is_up() {
-            return;
-        }
-        // Stamp and record the triggering event, then run the handler.
-        let (call, pre_event): (HandlerCall, TraceKind) = match trigger {
-            Trigger::Start => (HandlerCall::Start, TraceKind::Start),
-            Trigger::Recv {
-                from,
-                msg,
-                msg_id,
-                tag,
-                send_vc,
-                send_lamport,
-            } => {
-                let slot = &mut self.slots[idx];
-                slot.vc.observe(&send_vc);
-                slot.lamport.merge(send_lamport);
-                // merge() already ticked lamport; only vc needs its tick.
-                slot.vc.tick(idx);
-                let kind = TraceKind::Recv { from, msg_id, tag };
-                self.trace.events.push(TraceEvent {
-                    time: self.time,
-                    pid,
-                    lamport: slot.lamport.value(),
-                    vc: slot.vc.stamp(),
-                    kind: kind.clone(),
-                });
-                let mut node = self.slots[idx].node.take().expect("node present");
-                let mut ctx = Ctx {
-                    pid,
-                    now: self.time,
-                    actions: Vec::new(),
-                    rng: &mut self.rng,
-                    timer_counter: &mut self.timer_counter,
-                };
-                node.on_message(&mut ctx, from, msg);
-                let actions = std::mem::take(&mut ctx.actions);
-                self.slots[idx].node = Some(node);
-                self.apply_actions(pid, actions);
-                return;
-            }
-            Trigger::Timer { tag } => (HandlerCall::Timer(tag), TraceKind::Timer { tag }),
-        };
-        {
-            let slot = &mut self.slots[idx];
-            slot.vc.tick(idx);
-            let lamport = slot.lamport.tick();
-            self.trace.events.push(TraceEvent {
-                time: self.time,
-                pid,
-                lamport,
-                vc: slot.vc.stamp(),
-                kind: pre_event,
-            });
-        }
-        let mut node = self.slots[idx].node.take().expect("node present");
-        let mut ctx = Ctx {
-            pid,
-            now: self.time,
-            actions: Vec::new(),
-            rng: &mut self.rng,
-            timer_counter: &mut self.timer_counter,
-        };
-        match call {
-            HandlerCall::Start => node.on_start(&mut ctx),
-            HandlerCall::Timer(tag) => node.on_timer(&mut ctx, tag),
-        }
-        let actions = std::mem::take(&mut ctx.actions);
-        self.slots[idx].node = Some(node);
-        self.apply_actions(pid, actions);
-    }
-
-    fn apply_actions(&mut self, pid: ProcessId, actions: Vec<Action<M>>) {
-        let idx = pid.index();
-        for action in actions {
-            if !self.slots[idx].status.is_up() {
-                break; // quit/crash mid-handler: remaining effects are lost
-            }
-            match action {
-                Action::Send { to, msg } => {
-                    assert!(
-                        to.index() < self.slots.len(),
-                        "send to unknown process {to}"
-                    );
-                    let tag = msg.tag();
-                    self.msg_counter += 1;
-                    let msg_id = self.msg_counter;
-                    {
-                        let slot = &mut self.slots[idx];
-                        slot.vc.tick(idx);
-                        let lamport = slot.lamport.tick();
-                        self.trace.events.push(TraceEvent {
-                            time: self.time,
-                            pid,
-                            lamport,
-                            vc: slot.vc.stamp(),
-                            kind: TraceKind::Send { to, msg_id, tag },
-                        });
-                    }
-                    self.stats.record_send(tag);
-                    let inf = InFlight {
-                        from: pid,
-                        to,
-                        msg,
-                        msg_id,
-                        tag,
-                        // Shares storage with the Send trace event above:
-                        // the clock has not advanced since that stamp.
-                        send_vc: self.slots[idx].vc.stamp(),
-                        send_lamport: self.slots[idx].lamport.value(),
-                    };
-                    match self.net.fate(pid, to) {
-                        Some(BlockMode::Hold) => {
-                            self.stats.held += 1;
-                            self.held.entry((pid.0, to.0)).or_default().push(inf);
-                        }
-                        Some(BlockMode::Drop) => {
-                            self.stats.dropped_link += 1;
-                        }
-                        None => {
-                            let at = self.net.schedule(&mut self.rng, self.time, pid, to);
-                            self.enqueue(at, QKind::Deliver(inf));
-                        }
-                    }
-                    // Mid-broadcast crash bookkeeping (Figure 3).
-                    if let Some(sc) = self.crash_after.get_mut(idx).and_then(Option::as_mut) {
-                        let counts = sc.tag.map(|f| f == tag).unwrap_or(true);
-                        if counts {
-                            sc.remaining -= 1;
-                            if sc.remaining == 0 {
-                                self.crash_after[idx] = None;
-                                self.record_lifecycle(pid, TraceKind::Crash);
-                                self.slots[idx].status = NodeStatus::Crashed;
-                            }
-                        }
-                    }
-                }
-                Action::SetTimer { id, delay, tag } => {
-                    self.enqueue(self.time + delay, QKind::Timer { pid, id, tag });
-                }
-                Action::CancelTimer { id } => {
-                    self.cancelled.insert(id.0);
-                }
-                Action::Note(note) => {
-                    let slot = &self.slots[idx];
-                    self.trace.events.push(TraceEvent {
-                        time: self.time,
-                        pid,
-                        lamport: slot.lamport.value(),
-                        vc: slot.vc.stamp(),
-                        kind: TraceKind::Note(note),
-                    });
-                }
-                Action::Quit => {
-                    self.record_lifecycle(pid, TraceKind::Quit);
-                    self.slots[idx].status = NodeStatus::Quit;
-                }
-            }
-        }
-    }
 }
 
-enum HandlerCall {
-    Start,
-    Timer(u64),
+/// The deterministic simulator. See the crate docs for an example.
+pub struct Sim<M: Message, N: Node<M>> {
+    pub(crate) local: Local<N>,
+    pub(crate) global: Global<M>,
+    started: bool,
+}
+
+impl<M: Message, N: Node<M>> Sim<M, N> {
+    /// Registers a process. Must be called before the first `run_until`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation has already started.
+    pub fn add_node(&mut self, node: N) -> ProcessId {
+        assert!(
+            !self.started,
+            "cannot add nodes after the simulation started"
+        );
+        let pid = ProcessId(self.local.slots.len() as u32);
+        self.local.slots.push(Slot::new(node));
+        pid
+    }
+
+    /// Number of processes in the run.
+    pub fn n(&self) -> usize {
+        self.local.slots.len()
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> Time {
+        self.global.time
+    }
+
+    /// The recorded run so far.
+    pub fn trace(&self) -> &Trace {
+        &self.global.trace
+    }
+
+    /// Message counters so far.
+    pub fn stats(&self) -> &Stats {
+        &self.global.stats
+    }
+
+    /// Liveness status of a process.
+    pub fn status(&self, pid: ProcessId) -> NodeStatus {
+        self.local.slots[pid.index()].status
+    }
+
+    /// Processes that are still up.
+    pub fn living(&self) -> Vec<ProcessId> {
+        self.local
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.status.is_up())
+            .map(|(i, _)| ProcessId(i as u32))
+            .collect()
+    }
+
+    /// Immutable access to a node's protocol state (for assertions).
+    pub fn node(&self, pid: ProcessId) -> &N {
+        self.local.slots[pid.index()]
+            .node
+            .as_ref()
+            .expect("node is present outside dispatch")
+    }
+
+    /// Mutable access to a node's protocol state (test setup only).
+    pub fn node_mut(&mut self, pid: ProcessId) -> &mut N {
+        self.local.slots[pid.index()]
+            .node
+            .as_mut()
+            .expect("node is present outside dispatch")
+    }
+
+    /// Schedules a crash (`quit_p`) at the given time.
+    pub fn crash_at(&mut self, pid: ProcessId, at: Time) {
+        self.global.enqueue(at, QKind::Crash { pid });
+    }
+
+    /// From time `at` on, lets `pid` perform `sends` more message sends
+    /// (optionally counting only messages whose tag equals `tag`) and then
+    /// crashes it *immediately after the matching send* — i.e. possibly in
+    /// the middle of a broadcast, as in Figure 3. With `sends == 0` the
+    /// process crashes at `at`.
+    pub fn crash_after_sends_at(
+        &mut self,
+        pid: ProcessId,
+        at: Time,
+        tag: Option<&'static str>,
+        sends: u32,
+    ) {
+        let crash = SendCrash {
+            tag,
+            remaining: sends,
+        };
+        self.control_at(at, Control::CrashAfterSends { pid, crash });
+    }
+
+    /// Blocks the directed link `from -> to` starting at `at`.
+    pub fn block_link_at(&mut self, from: ProcessId, to: ProcessId, mode: BlockMode, at: Time) {
+        self.control_at(at, Control::Block { from, to, mode });
+    }
+
+    /// Unblocks the directed link `from -> to` at `at`; held messages are
+    /// then delivered (with fresh delays, preserving FIFO order).
+    pub fn unblock_link_at(&mut self, from: ProcessId, to: ProcessId, at: Time) {
+        self.control_at(at, Control::Unblock { from, to });
+    }
+
+    /// Partitions the processes into the given groups at time `at`.
+    /// Cross-partition messages are held (unbounded delay), not lost.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at application time) if a process appears in no group.
+    pub fn partition_at(&mut self, groups: &[&[ProcessId]], at: Time) {
+        let mut assignment = vec![usize::MAX; self.n()];
+        for (g, members) in groups.iter().enumerate() {
+            for p in *members {
+                assignment[p.index()] = g;
+            }
+        }
+        assert!(
+            assignment.iter().all(|&g| g != usize::MAX),
+            "every process must appear in exactly one partition group"
+        );
+        self.control_at(at, Control::Partition(assignment));
+    }
+
+    /// Heals any partition at time `at`, releasing held messages.
+    pub fn heal_at(&mut self, at: Time) {
+        self.control_at(at, Control::Heal);
+    }
+
+    /// Overrides the delay range of the directed link `from -> to` at `at`
+    /// (`None` restores the default). Used to model degraded links that
+    /// trigger spurious failure detection (§2.2).
+    pub fn set_link_delay_at(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        range: Option<(Time, Time)>,
+        at: Time,
+    ) {
+        self.control_at(at, Control::SetDelay { from, to, range });
+    }
+
+    fn control_at(&mut self, at: Time, control: Control) {
+        self.global.enqueue(at, QKind::Control(control));
+    }
+
+    /// Runs the simulation, processing every event with `time <= until`.
+    pub fn run_until(&mut self, until: Time) {
+        let start = self.begin();
+        self.global.run(&mut self.local, start, until);
+    }
+
+    /// On the first run call, sizes the trace and every clock for the
+    /// final process count and returns that count; `None` afterwards.
+    pub(crate) fn begin(&mut self) -> Option<usize> {
+        if self.started {
+            return None;
+        }
+        let n = self.n();
+        assert!(n > 0, "simulation needs at least one node");
+        self.started = true;
+        self.global.trace = Trace::new(n);
+        for slot in &mut self.local.slots {
+            slot.vc = CowClock::new(n);
+        }
+        Some(n)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Ctx;
     use gmp_types::Note;
 
     #[derive(Clone, Debug)]
@@ -925,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_and_cancel() {
+    fn timers_fire() {
         struct T {
             fired: Vec<u64>,
         }
@@ -938,10 +761,9 @@ mod tests {
         }
         impl Node<Never> for T {
             fn on_start(&mut self, ctx: &mut Ctx<'_, Never>) {
-                ctx.set_timer(10, 1);
-                let id = ctx.set_timer(20, 2);
-                ctx.cancel_timer(id);
                 ctx.set_timer(30, 3);
+                ctx.set_timer(10, 1);
+                ctx.set_timer(150, 2);
             }
             fn on_message(&mut self, _: &mut Ctx<'_, Never>, _: ProcessId, _: Never) {}
             fn on_timer(&mut self, _ctx: &mut Ctx<'_, Never>, tag: u64) {
@@ -980,7 +802,7 @@ mod tests {
 #[cfg(test)]
 mod release_tests {
     use super::*;
-    use crate::net::BlockMode;
+    use crate::Ctx;
 
     #[derive(Clone, Debug)]
     struct Num(u32);

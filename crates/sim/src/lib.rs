@@ -33,10 +33,11 @@
 //! ([`run_seeds_parallel`]). *Within* a run, [`Sim::run_until_sharded`]
 //! partitions the processes across shard worker threads ([`shard_of`]:
 //! `pid mod shards`) while the calling thread sequences every globally
-//! visible mutation — the RNG, message ids, queue order, the trace — so
-//! the output is byte-identical to the single-threaded `run_until` for
-//! every shard count (see the `shard` module docs for the frontier and
-//! seq-stability arguments). Both are sound because
+//! visible mutation — the RNG, message ids, queue order, the trace. Both
+//! drivers run one per-event executor and one event loop and differ only
+//! in which thread executes an event, so the output is byte-identical to
+//! the single-threaded `run_until` for every shard count (see the `shard`
+//! module docs for the frontier argument). Both are sound because
 //! `Sim<M, N>: Send` whenever `M: Send` and `N: Send`: every engine
 //! internal is owned data (`SmallRng` is a plain xoshiro256++ state, the
 //! event queue and link state are `std` collections of owned values) or an
@@ -85,12 +86,13 @@ pub mod stats;
 pub mod trace;
 
 mod engine;
+mod exec;
 mod shard;
 
 pub use batch::{run_seeds, run_seeds_parallel, summarize_runs, BatchConfig, RunStats};
 pub use engine::{Builder, NodeStatus, Sim};
 pub use net::BlockMode;
-pub use node::{Ctx, Message, Node, TimerId};
+pub use node::{Ctx, Message, Node};
 pub use shard::shard_of;
 pub use shared::Shared;
 pub use stats::{Stats, Summary};

@@ -2,7 +2,7 @@
 
 use crate::Time;
 use gmp_types::{Note, ProcessId};
-use rand::rngs::SmallRng;
+use std::marker::PhantomData;
 
 /// A protocol message. `tag` names the message kind for trace recording and
 /// message-complexity accounting (the benchmarks count sends per tag).
@@ -28,16 +28,11 @@ pub trait Node<M: Message> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, tag: u64);
 }
 
-/// Identifier of a pending timer, used for cancellation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(pub(crate) u64);
-
 /// An effect requested by a node handler.
 #[derive(Clone, Debug)]
 pub(crate) enum Action<M> {
     Send { to: ProcessId, msg: M },
-    SetTimer { id: TimerId, delay: Time, tag: u64 },
-    CancelTimer { id: TimerId },
+    SetTimer { delay: Time, tag: u64 },
     Note(Note),
     Quit,
 }
@@ -45,14 +40,27 @@ pub(crate) enum Action<M> {
 /// The effect context passed to every [`Node`] handler.
 ///
 /// All interaction with the outside world — sending, timers, quitting,
-/// trace annotations, randomness — goes through this context so the
-/// simulator can record and order it deterministically.
+/// trace annotations — goes through this context so the simulator can
+/// record and order it deterministically.
+///
+/// The lifetime parameter carries no borrow; it keeps handler signatures
+/// written as `Ctx<'_, M>`.
 pub struct Ctx<'a, M> {
     pub(crate) pid: ProcessId,
     pub(crate) now: Time,
     pub(crate) actions: Vec<Action<M>>,
-    pub(crate) rng: &'a mut SmallRng,
-    pub(crate) timer_counter: &'a mut u64,
+    pub(crate) lifetime: PhantomData<&'a ()>,
+}
+
+impl<M> Ctx<'_, M> {
+    pub(crate) fn new(pid: ProcessId, now: Time) -> Self {
+        Ctx {
+            pid,
+            now,
+            actions: Vec::new(),
+            lifetime: PhantomData,
+        }
+    }
 }
 
 impl<'a, M: Message> Ctx<'a, M> {
@@ -98,19 +106,10 @@ impl<'a, M: Message> Ctx<'a, M> {
     }
 
     /// Arms a one-shot timer that fires after `delay` ticks, delivering
-    /// `tag` to [`Node::on_timer`]. Returns an id usable with
-    /// [`Ctx::cancel_timer`].
-    pub fn set_timer(&mut self, delay: Time, tag: u64) -> TimerId {
-        *self.timer_counter += 1;
-        let id = TimerId(*self.timer_counter);
-        self.actions.push(Action::SetTimer { id, delay, tag });
-        id
-    }
-
-    /// Cancels a pending timer. Cancelling an already-fired or unknown timer
-    /// is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.actions.push(Action::CancelTimer { id });
+    /// `tag` to [`Node::on_timer`]. Timers cannot be cancelled: a protocol
+    /// that no longer wants one ignores it when it fires.
+    pub fn set_timer(&mut self, delay: Time, tag: u64) {
+        self.actions.push(Action::SetTimer { delay, tag });
     }
 
     /// Records a semantic annotation into the trace (e.g. `faulty_p(q)`,
@@ -126,11 +125,6 @@ impl<'a, M: Message> Ctx<'a, M> {
         self.actions.push(Action::Quit);
     }
 
-    /// Deterministic, seeded randomness for protocol-level choices.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
-    }
-
     /// Runs `body` against a context typed for an embedded sub-protocol's
     /// message type `M2`, then lifts every effect the sub-protocol queued
     /// back into this context, wrapping its sends with `wrap`.
@@ -141,11 +135,9 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// go out on the wire inside the composite's envelope. Effects keep
     /// their emission order relative to each other and to anything the
     /// outer handler queues before or after, so determinism (and the
-    /// quit-cuts-the-broadcast semantics) is preserved. Timer *ids* come
-    /// from the shared per-process counter and never collide across
-    /// layers, but timer *tags* share one namespace: composites must
-    /// partition tags and route [`Node::on_timer`] to the right layer
-    /// themselves.
+    /// quit-cuts-the-broadcast semantics) is preserved. Timer tags share
+    /// one namespace across layers: composites must partition tags and
+    /// route [`Node::on_timer`] to the right layer themselves.
     pub fn embedded<M2, R>(
         &mut self,
         wrap: impl Fn(M2) -> M,
@@ -154,25 +146,15 @@ impl<'a, M: Message> Ctx<'a, M> {
     where
         M2: Message,
     {
-        let mut inner: Ctx<'_, M2> = Ctx {
-            pid: self.pid,
-            now: self.now,
-            actions: Vec::new(),
-            rng: &mut *self.rng,
-            timer_counter: &mut *self.timer_counter,
-        };
+        let mut inner = Ctx::new(self.pid, self.now);
         let out = body(&mut inner);
-        let lifted = inner.actions;
-        self.actions.reserve(lifted.len());
-        for a in lifted {
-            self.actions.push(match a {
+        self.actions
+            .extend(inner.actions.into_iter().map(|a| match a {
                 Action::Send { to, msg } => Action::Send { to, msg: wrap(msg) },
-                Action::SetTimer { id, delay, tag } => Action::SetTimer { id, delay, tag },
-                Action::CancelTimer { id } => Action::CancelTimer { id },
+                Action::SetTimer { delay, tag } => Action::SetTimer { delay, tag },
                 Action::Note(n) => Action::Note(n),
                 Action::Quit => Action::Quit,
-            });
-        }
+            }));
         out
     }
 }
@@ -180,7 +162,6 @@ impl<'a, M: Message> Ctx<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[derive(Clone, Debug)]
     struct M0;
@@ -192,15 +173,7 @@ mod tests {
 
     #[test]
     fn broadcast_skips_self() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut counter = 0;
-        let mut ctx: Ctx<'_, M0> = Ctx {
-            pid: ProcessId(1),
-            now: 0,
-            actions: Vec::new(),
-            rng: &mut rng,
-            timer_counter: &mut counter,
-        };
+        let mut ctx: Ctx<'_, M0> = Ctx::new(ProcessId(1), 0);
         ctx.broadcast([ProcessId(0), ProcessId(1), ProcessId(2)], M0);
         let targets: Vec<ProcessId> = ctx
             .actions
@@ -225,52 +198,30 @@ mod tests {
 
     #[test]
     fn embedded_lifts_and_wraps_effects() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut counter = 0;
-        let mut ctx: Ctx<'_, Outer> = Ctx {
-            pid: ProcessId(1),
-            now: 7,
-            actions: Vec::new(),
-            rng: &mut rng,
-            timer_counter: &mut counter,
-        };
-        let outer_timer = ctx.set_timer(5, 100);
-        let (inner_id, inner_now) = ctx.embedded(Outer::Wrapped, |inner| {
+        let mut ctx: Ctx<'_, Outer> = Ctx::new(ProcessId(1), 7);
+        ctx.set_timer(5, 100);
+        let inner_now = ctx.embedded(Outer::Wrapped, |inner| {
             inner.send(ProcessId(2), M0);
-            let t = inner.set_timer(3, 1);
-            (t, inner.now())
+            inner.set_timer(3, 1);
+            inner.now()
         });
         // The inner context mirrors identity and clock…
         assert_eq!(inner_now, 7);
-        // …and draws timer ids from the shared counter: no collision.
-        assert_ne!(inner_id, outer_timer);
-        // Effects are lifted in order, sends wrapped in the outer enum.
-        assert_eq!(ctx.actions.len(), 3);
+        // …and its effects are lifted in order, sends wrapped in the outer
+        // enum, after the outer timer.
+        let actions = ctx.actions;
+        assert_eq!(actions.len(), 3);
         assert!(matches!(
-            &ctx.actions[1],
+            &actions[0],
+            Action::SetTimer { delay: 5, tag: 100 }
+        ));
+        assert!(matches!(
+            &actions[1],
             Action::Send {
                 to: ProcessId(2),
                 msg: Outer::Wrapped(M0)
             }
         ));
-        assert!(
-            matches!(&ctx.actions[2], Action::SetTimer { id, delay: 3, tag: 1 } if *id == inner_id)
-        );
-    }
-
-    #[test]
-    fn timer_ids_are_unique() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut counter = 0;
-        let mut ctx: Ctx<'_, M0> = Ctx {
-            pid: ProcessId(0),
-            now: 0,
-            actions: Vec::new(),
-            rng: &mut rng,
-            timer_counter: &mut counter,
-        };
-        let a = ctx.set_timer(5, 1);
-        let b = ctx.set_timer(5, 1);
-        assert_ne!(a, b);
+        assert!(matches!(&actions[2], Action::SetTimer { delay: 3, tag: 1 }));
     }
 }

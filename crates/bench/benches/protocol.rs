@@ -254,7 +254,7 @@ fn bench_arena_hot_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// E15 — the replicated-log hot path: the unbatched per-slot baseline
+/// E15 — the replicated-log hot path: the unbatched baseline
 /// against batched + pipelined cells of the ladder, wall-clock for the
 /// same steady schedule (see `tables e15` for the message-level table).
 /// Batched runs commit ~4x the operations in the same horizon, so this

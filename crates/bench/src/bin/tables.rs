@@ -701,7 +701,7 @@ fn main() {
         println!(
             "(steady schedule, 5 replicas; batch = max commands the leader coalesces per \
              AcceptBatch,\n window = requests each client keeps in flight; cell (1,1) is the \
-             unbatched per-slot baseline;\n msgs/op counts log-layer wire messages per committed \
+             unbatched baseline;\n msgs/op counts log-layer wire messages per committed \
              operation; {seeds} seeds per cell,\n each run sequential AND sharded)\n"
         );
         println!(
@@ -733,7 +733,7 @@ fn main() {
             );
         }
         println!(
-            "(per command the per-slot path costs 3(n-1)+2 messages; a full batch of B \
+            "(per command a one-command batch costs 3(n-1)+2 messages; a full batch of B \
              amortizes the\n quorum round to 3(n-1)/B + 2 — pipelining lifts throughput, \
              batching cuts msgs/op)"
         );

@@ -1678,7 +1678,7 @@ pub fn e14_replicated_log_with(
     window: Option<usize>,
 ) -> Vec<LogRow> {
     let seeds = seeds.max(1);
-    // The default E14 arm is the PR-9 baseline: per-slot wire messages,
+    // The default E14 arm is the unbatched trim: one-command batches,
     // strict closed loop, no compaction. The batching ladder is E15's.
     let lc = LogConfig::default()
         .unbatched()
@@ -1734,13 +1734,13 @@ pub fn e14_replicated_log_with(
 // ---------------------------------------------------------------------
 // E15 — the batching/pipelining ladder: committed throughput and wire
 // messages per operation across (batch, window) cells, against the
-// unbatched PR-9 baseline, plus the snapshot-compacted joiner-sync gate
+// unbatched baseline, plus the snapshot-compacted joiner-sync gate
 // ---------------------------------------------------------------------
 
 /// One `(batch, window)` cell of E15's ladder, aggregated over seeds.
 #[derive(Clone, Debug)]
 pub struct BatchRow {
-    /// Leader batch size (1 = the per-slot legacy wire path).
+    /// Leader batch size (1 = one-command batches).
     pub batch: usize,
     /// Client pipeline window (1 = strict closed loop).
     pub window: usize,
@@ -1809,7 +1809,7 @@ fn e15_scenario(clients: usize) -> LogScenario {
 }
 
 /// Drives the steady replicated-log schedule across a ladder of
-/// `(batch, window)` cells — the unbatched PR-9 baseline first, then
+/// `(batch, window)` cells — the unbatched baseline first, then
 /// batching and client pipelining switched on separately and together —
 /// measuring committed throughput and log-layer wire messages per
 /// operation. Every cell runs under the same hard gates as E14

@@ -24,11 +24,11 @@ pub struct LogConfig {
     /// Leader pipelining: max concurrently proposed slots before client
     /// commands queue.
     pub max_inflight: usize,
-    /// Leader batching: max commands per `AcceptBatch`. 1 selects the
-    /// per-slot legacy wire path, bit-identical to the PR-9 baseline.
+    /// Leader batching: max commands per `AcceptBatch`. 1 sends
+    /// one-command batches, proposed as each command arrives.
     pub batch: usize,
     /// Client pipeline window: requests each client keeps in flight.
-    /// 1 reproduces the strict closed loop of the unbatched baseline.
+    /// 1 is the strict closed loop: one request in flight per client.
     pub window: usize,
     /// Compaction: applied slots of hot state each replica keeps above
     /// its floor (`usize::MAX` disables compaction).
@@ -70,7 +70,7 @@ impl LogConfig {
         self
     }
 
-    /// Sets the leader's max batch size (1 = unbatched legacy path).
+    /// Sets the leader's max batch size (1 = one-command batches).
     pub fn batch(mut self, batch: usize) -> Self {
         assert!(batch >= 1, "a batch carries at least one command");
         self.batch = batch;
@@ -91,8 +91,7 @@ impl LogConfig {
         self
     }
 
-    /// The unbatched, uncompacted PR-9 baseline trim: per-slot wire
-    /// messages, one request in flight per client, full history retained.
+    /// The unbatched trim: one-command batches, window 1, no compaction.
     pub fn unbatched(self) -> Self {
         self.batch(1).window(1).compact_keep(usize::MAX)
     }

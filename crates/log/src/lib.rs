@@ -12,17 +12,16 @@
 //! * **reconfiguration** — view installs *are* the configuration changes;
 //!   [`MemberEvent`](gmp_core::MemberEvent)s deliver them to the log.
 //!
-//! What remains is the steady-state phase 2 — per-slot
-//! (`Accept`/`AcceptOk`/`Decide`) with batching off, per-range
-//! (`AcceptBatch`/`AcceptOkRange`/`DecideBatch`) with batching on — the
-//! new-leader recovery round, and joiner state transfer (snapshot + tail
-//! once compaction has passed the joiner's prefix) — see
-//! [`ReplicatedLog`]. Everything is sans-IO and runs inside [`gmp_sim`]'s
-//! deterministic engines, sequential or sharded. Batch size, client
-//! pipeline window and the compaction budget are [`LogConfig`] knobs;
-//! `LogConfig::default()` is the batched trim and
-//! [`LogConfig::unbatched`](cluster::LogConfig::unbatched) restores the
-//! PR-9 baseline bit-for-bit.
+//! What remains is the steady-state phase 2 over slot ranges
+//! (`AcceptBatch`/`AcceptOkRange`/`DecideBatch`), the new-leader recovery
+//! round, and joiner state transfer (snapshot + tail once compaction has
+//! passed the joiner's prefix) — see [`ReplicatedLog`]. Everything is
+//! sans-IO and runs inside [`gmp_sim`]'s deterministic engines, sequential
+//! or sharded. Batch size, client pipeline window and the compaction
+//! budget are [`LogConfig`] knobs; `LogConfig::default()` is the batched
+//! trim and [`LogConfig::unbatched`](cluster::LogConfig::unbatched) runs
+//! one-command batches, one request in flight per client and no
+//! compaction.
 //!
 //! # Quickstart
 //!

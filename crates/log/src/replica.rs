@@ -21,16 +21,17 @@
 //!
 //! # Batching and pipelining
 //!
-//! With `batch_max == 1` the hot path is PR-9's per-slot
-//! `Accept`/`AcceptOk`/`Decide` — kept bit-for-bit as the unbatched
-//! baseline. With `batch_max > 1` the leader coalesces every command that
-//! arrives within a tick (the hosting node arms a 1-tick [`LOG_FLUSH`]
-//! timer on the first admission) and proposes up to `batch_max` of them in
-//! one `AcceptBatch`; acceptors ack the whole range in one
-//! `AcceptOkRange`, and decisions ship as `DecideBatch` runs. Message
-//! cost per command drops from `3(n-1) + 2` to `3(n-1)/B + 2` for batch
-//! size `B`. Decide-path refills re-propose straight from the queue (no
-//! extra flush tick), so a saturated pipeline stays saturated.
+//! Phase 2 runs over contiguous slot ranges: the leader proposes up to
+//! `batch_max` commands in one `AcceptBatch`, acceptors ack the whole range
+//! in one `AcceptOkRange`, and decisions ship as `DecideBatch` runs. An
+//! unbatched log (`batch_max == 1`) speaks the same messages with
+//! one-command batches. With `batch_max > 1` the leader coalesces every
+//! command that arrives within a tick (the hosting node arms a 1-tick
+//! [`LOG_FLUSH`] timer on the first admission); with `batch_max == 1` it
+//! proposes each command as it arrives. Message cost per command is
+//! `3(n-1)/B + 2` for batch size `B`. Decide-path refills re-propose
+//! straight from the queue (no extra flush tick), so a saturated pipeline
+//! stays saturated.
 //!
 //! # Compaction
 //!
@@ -165,8 +166,8 @@ pub struct ReplicatedLog {
     lead: Option<LeaderState>,
     /// Max in-flight slots before client commands wait in the queue.
     max_inflight: usize,
-    /// Max commands per `AcceptBatch`; 1 selects the per-slot legacy wire
-    /// path (bit-identical to the unbatched baseline, no flush timer).
+    /// Max commands per `AcceptBatch`; 1 proposes each command on arrival
+    /// instead of coalescing behind the flush timer.
     batch_max: usize,
     /// Applied suffix length that triggers compaction (`usize::MAX`
     /// disables it; compaction runs when `logical_len - floor > 2·keep`).
@@ -186,16 +187,10 @@ pub struct ReplicatedLog {
 }
 
 impl ReplicatedLog {
-    /// A blank log in legacy (unbatched, uncompacted) trim: per-slot wire
-    /// messages, full history retained. `max_inflight` caps concurrently
-    /// proposed slots (≥ 1).
-    pub fn new(max_inflight: usize) -> Self {
-        Self::with_tuning(max_inflight, 1, usize::MAX)
-    }
-
-    /// A blank log with the full perf trim: `batch_max` commands per
-    /// `AcceptBatch` (1 = legacy per-slot path) and compaction keeping
-    /// `compact_keep` applied slots of hot state (`usize::MAX` = off).
+    /// A blank log: `max_inflight` caps concurrently proposed slots,
+    /// `batch_max` caps commands per `AcceptBatch` (1 = propose each
+    /// command on arrival), and compaction keeps `compact_keep` applied
+    /// slots of hot state (`usize::MAX` = off).
     pub fn with_tuning(max_inflight: usize, batch_max: usize, compact_keep: usize) -> Self {
         assert!(max_inflight >= 1, "the in-flight window must admit work");
         assert!(batch_max >= 1, "a batch carries at least one command");
@@ -328,7 +323,7 @@ impl ReplicatedLog {
     /// it was armed (up to `batch_max` per `AcceptBatch`).
     pub fn on_flush(&mut self, now: Time) {
         self.flush_armed = false;
-        self.propose_queued_batched(now);
+        self.propose_queued(now);
     }
 
     // ------------------------------------------------------------------
@@ -430,13 +425,7 @@ impl ReplicatedLog {
             }),
         });
         let from = self.logical_len();
-        let peers: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&&p| p != self.me)
-            .copied()
-            .collect();
-        for p in peers {
+        for p in self.peers() {
             self.outbox.push((p, LogMsg::Recover { ballot, from }));
         }
         // A solitary (or fully-suspicious) leader recovers from its own
@@ -455,56 +444,46 @@ impl ReplicatedLog {
         }
         match msg {
             LogMsg::Request { cmd } => self.on_request(from, cmd, now),
-            LogMsg::Accept { ballot, slot, cmd } => {
-                if ballot >= self.promised {
-                    self.promised = ballot;
-                    if slot >= self.floor {
-                        self.accepted.insert(slot, (ballot, cmd));
-                    }
-                    self.outbox.push((from, LogMsg::AcceptOk { ballot, slot }));
-                }
-            }
-            LogMsg::AcceptOk { ballot, slot } => self.on_accept_ok(from, ballot, slot, now),
-            LogMsg::Decide { ballot, slot, cmd } => {
-                self.learn(slot, ballot, cmd);
-                self.apply_contiguous(now);
-            }
             LogMsg::AcceptBatch {
                 ballot,
                 first_slot,
                 cmds,
             } => {
-                if ballot >= self.promised {
-                    self.promised = ballot;
-                    let count = cmds.len() as u64;
-                    for (i, cmd) in cmds.into_iter().enumerate() {
-                        let slot = first_slot + i as u64;
-                        // Slots under the floor are committed and pruned;
-                        // acking them is still correct (decided ⊇ accepted).
-                        if slot >= self.floor {
-                            self.accepted.insert(slot, (ballot, cmd));
-                        }
-                    }
-                    self.outbox.push((
-                        from,
-                        LogMsg::AcceptOkRange {
-                            ballot,
-                            first_slot,
-                            count,
-                        },
-                    ));
+                if ballot < self.promised || !fits(first_slot, cmds.len()) {
+                    return;
                 }
+                self.promised = ballot;
+                let count = cmds.len() as u64;
+                for (i, cmd) in cmds.into_iter().enumerate() {
+                    let slot = first_slot + i as u64;
+                    // Slots under the floor are committed and pruned;
+                    // acking them is still correct (decided ⊇ accepted).
+                    if slot >= self.floor {
+                        self.accepted.insert(slot, (ballot, cmd));
+                    }
+                }
+                self.outbox.push((
+                    from,
+                    LogMsg::AcceptOkRange {
+                        ballot,
+                        first_slot,
+                        count,
+                    },
+                ));
             }
             LogMsg::AcceptOkRange {
                 ballot,
                 first_slot,
                 count,
-            } => self.on_accept_ok_range(from, ballot, first_slot, count, now),
+            } => self.on_accept_ok(from, ballot, first_slot, count, now),
             LogMsg::DecideBatch {
                 ballot,
                 first_slot,
                 cmds,
             } => {
+                if !fits(first_slot, cmds.len()) {
+                    return;
+                }
                 for (i, cmd) in cmds.into_iter().enumerate() {
                     self.learn(first_slot + i as u64, ballot, cmd);
                 }
@@ -567,6 +546,9 @@ impl ReplicatedLog {
                 snapshot,
                 entries,
             } => {
+                if !fits(start, entries.len()) {
+                    return;
+                }
                 self.last_sync = Some((snapshot.is_some(), entries.len() as u64));
                 if let Some(snap) = snapshot {
                     self.install_snapshot(snap);
@@ -672,28 +654,11 @@ impl ReplicatedLog {
         }
     }
 
-    fn on_accept_ok(&mut self, from: ProcessId, ballot: Ver, slot: u64, now: Time) {
-        let quorum = self.quorum();
-        let Some(lead) = &mut self.lead else { return };
-        if lead.ballot != ballot {
-            return;
-        }
-        let Some(acc) = lead.in_flight.get_mut(&slot) else {
-            return; // already decided (or never ours)
-        };
-        acc.oks.insert(from);
-        // +1: the leader accepted its own proposal at propose time.
-        if acc.oks.len() + 1 >= quorum {
-            let cmd = acc.cmd;
-            lead.in_flight.remove(&slot);
-            self.decide(slot, ballot, cmd, now);
-        }
-    }
-
-    /// One `AcceptOkRange` acks every slot in its range; any slot that
-    /// reaches quorum decides, and contiguous decisions ship as one
-    /// `DecideBatch`.
-    fn on_accept_ok_range(
+    /// One `AcceptOkRange` acks every in-flight slot in its range; any
+    /// slot that reaches quorum decides, and contiguous decisions ship as
+    /// one `DecideBatch`. The range is peer-supplied: only the in-flight
+    /// slots inside it are visited, and its end saturates.
+    fn on_accept_ok(
         &mut self,
         from: ProcessId,
         ballot: Ver,
@@ -707,48 +672,28 @@ impl ReplicatedLog {
             return;
         }
         let mut decided: Vec<(u64, LogCmd)> = Vec::new();
-        for slot in first_slot..first_slot + count {
-            if let Some(acc) = lead.in_flight.get_mut(&slot) {
-                acc.oks.insert(from);
-                if acc.oks.len() + 1 >= quorum {
-                    decided.push((slot, acc.cmd));
-                }
+        for (&slot, acc) in lead
+            .in_flight
+            .range_mut(first_slot..first_slot.saturating_add(count))
+        {
+            acc.oks.insert(from);
+            // +1: the leader accepted its own proposal at propose time.
+            if acc.oks.len() + 1 >= quorum {
+                decided.push((slot, acc.cmd));
             }
         }
         for &(slot, _) in &decided {
             lead.in_flight.remove(&slot);
         }
         if !decided.is_empty() {
-            self.decide_slots(decided, ballot, now);
+            self.decide(decided, ballot, now);
         }
     }
 
-    /// Commits `slot` on the legacy per-slot path: record, broadcast
-    /// `Decide`, answer the client, and let follow-on queued work into
-    /// the freed in-flight window.
-    fn decide(&mut self, slot: u64, ballot: Ver, cmd: LogCmd, now: Time) {
-        self.learn(slot, ballot, cmd);
-        let peers: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&&p| p != self.me)
-            .copied()
-            .collect();
-        for p in peers {
-            self.outbox.push((p, LogMsg::Decide { ballot, slot, cmd }));
-        }
-        if !cmd.is_noop() {
-            self.outbox
-                .push((cmd.client, LogMsg::Reply { seq: cmd.seq, slot }));
-        }
-        self.apply_contiguous(now);
-        self.propose_queued(now);
-    }
-
-    /// Commits a set of slots on the batched path: learn them all, ship
-    /// one `DecideBatch` per contiguous run per peer, answer the clients,
-    /// and refill the pipeline straight from the queue.
-    fn decide_slots(&mut self, decided: Vec<(u64, LogCmd)>, ballot: Ver, now: Time) {
+    /// Commits a set of slots: learn them all, ship one `DecideBatch` per
+    /// contiguous run per peer, answer the clients, and refill the
+    /// pipeline straight from the queue.
+    fn decide(&mut self, decided: Vec<(u64, LogCmd)>, ballot: Ver, now: Time) {
         for &(slot, cmd) in &decided {
             self.learn(slot, ballot, cmd);
         }
@@ -759,12 +704,7 @@ impl ReplicatedLog {
                 _ => runs.push((slot, vec![cmd])),
             }
         }
-        let peers: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&&p| p != self.me)
-            .copied()
-            .collect();
+        let peers = self.peers();
         for (first_slot, cmds) in &runs {
             for &p in &peers {
                 self.outbox.push((
@@ -784,7 +724,7 @@ impl ReplicatedLog {
             }
         }
         self.apply_contiguous(now);
-        self.propose_queued_batched(now);
+        self.propose_queued(now);
     }
 
     /// Records a decided entry (idempotent; decides imply accepts so the
@@ -924,19 +864,10 @@ impl ReplicatedLog {
                 lead.admitted.extend(rec_set.iter().copied());
                 lead.next_slot = lead.next_slot.max(top + 1);
             }
-            if self.batch_max > 1 {
-                let mut i = 0usize;
-                while i < plan.len() {
-                    let take = (plan.len() - i).min(self.batch_max);
-                    let first = floor_slot + i as u64;
-                    let cmds: Vec<LogCmd> = plan[i..i + take].to_vec();
-                    self.propose_batch(first, ballot, cmds, now);
-                    i += take;
-                }
-            } else {
-                for (i, &cmd) in plan.iter().enumerate() {
-                    self.propose(floor_slot + i as u64, ballot, cmd, now);
-                }
+            let mut first = floor_slot;
+            for cmds in plan.chunks(self.batch_max) {
+                self.propose(first, ballot, cmds.to_vec(), now);
+                first += cmds.len() as u64;
             }
         }
         // Failover re-reply: a command decided under the dead leader may
@@ -947,40 +878,18 @@ impl ReplicatedLog {
             let (seq, slot) = mark.last;
             self.outbox.push((client, LogMsg::Reply { seq, slot }));
         }
-        if self.batch_max > 1 {
-            self.propose_queued_batched(now);
-        } else {
-            self.propose_queued(now);
-        }
-    }
-
-    /// Moves queued client commands into the in-flight window, one slot
-    /// per `Accept` (the legacy path).
-    fn propose_queued(&mut self, now: Time) {
-        loop {
-            let Some(lead) = &mut self.lead else { return };
-            if lead.recovery.is_some() || lead.in_flight.len() >= self.max_inflight {
-                return;
-            }
-            let Some(cmd) = lead.queue.pop_front() else {
-                return;
-            };
-            let slot = lead.next_slot;
-            lead.next_slot += 1;
-            let ballot = lead.ballot;
-            self.propose(slot, ballot, cmd, now);
-        }
+        self.propose_queued(now);
     }
 
     /// Moves queued client commands into the in-flight window in batches
     /// of up to `batch_max`, as window room allows.
-    fn propose_queued_batched(&mut self, now: Time) {
+    fn propose_queued(&mut self, now: Time) {
         loop {
             let Some(lead) = &mut self.lead else { return };
-            if lead.recovery.is_some() || lead.in_flight.len() >= self.max_inflight {
-                return;
-            }
-            if lead.queue.is_empty() {
+            if lead.recovery.is_some()
+                || lead.queue.is_empty()
+                || lead.in_flight.len() >= self.max_inflight
+            {
                 return;
             }
             let room = self.max_inflight - lead.in_flight.len();
@@ -989,66 +898,28 @@ impl ReplicatedLog {
             lead.next_slot += take as u64;
             let ballot = lead.ballot;
             let cmds: Vec<LogCmd> = lead.queue.drain(..take).collect();
-            self.propose_batch(first, ballot, cmds, now);
-        }
-    }
-
-    /// Proposes `cmd` into `slot`: self-accept, broadcast `Accept`, and —
-    /// in the degenerate single-member view — decide on the spot.
-    fn propose(&mut self, slot: u64, ballot: Ver, cmd: LogCmd, now: Time) {
-        self.promised = self.promised.max(ballot);
-        self.accepted.insert(slot, (ballot, cmd));
-        let Some(lead) = &mut self.lead else { return };
-        lead.in_flight.insert(
-            slot,
-            Accepting {
-                cmd,
-                oks: BTreeSet::new(),
-            },
-        );
-        let peers: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&&p| p != self.me)
-            .copied()
-            .collect();
-        for p in peers {
-            self.outbox.push((p, LogMsg::Accept { ballot, slot, cmd }));
-        }
-        if self.quorum() == 1 {
-            let Some(lead) = &mut self.lead else { return };
-            lead.in_flight.remove(&slot);
-            self.decide(slot, ballot, cmd, now);
+            self.propose(first, ballot, cmds, now);
         }
     }
 
     /// Proposes `cmds` into the contiguous range starting at `first_slot`:
     /// self-accept each, one `AcceptBatch` per peer, and — in the
     /// single-member view — decide the whole range on the spot.
-    fn propose_batch(&mut self, first_slot: u64, ballot: Ver, cmds: Vec<LogCmd>, now: Time) {
+    fn propose(&mut self, first_slot: u64, ballot: Ver, cmds: Vec<LogCmd>, now: Time) {
         self.promised = self.promised.max(ballot);
+        let Some(lead) = &mut self.lead else { return };
         for (i, &cmd) in cmds.iter().enumerate() {
-            self.accepted.insert(first_slot + i as u64, (ballot, cmd));
+            let slot = first_slot + i as u64;
+            self.accepted.insert(slot, (ballot, cmd));
+            lead.in_flight.insert(
+                slot,
+                Accepting {
+                    cmd,
+                    oks: BTreeSet::new(),
+                },
+            );
         }
-        {
-            let Some(lead) = &mut self.lead else { return };
-            for (i, &cmd) in cmds.iter().enumerate() {
-                lead.in_flight.insert(
-                    first_slot + i as u64,
-                    Accepting {
-                        cmd,
-                        oks: BTreeSet::new(),
-                    },
-                );
-            }
-        }
-        let peers: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&&p| p != self.me)
-            .copied()
-            .collect();
-        for p in peers {
+        for p in self.peers() {
             self.outbox.push((
                 p,
                 LogMsg::AcceptBatch {
@@ -1060,18 +931,33 @@ impl ReplicatedLog {
         }
         if self.quorum() == 1 {
             let decided: Vec<(u64, LogCmd)> = cmds
-                .iter()
+                .into_iter()
                 .enumerate()
-                .map(|(i, &c)| (first_slot + i as u64, c))
+                .map(|(i, cmd)| (first_slot + i as u64, cmd))
                 .collect();
             if let Some(lead) = &mut self.lead {
                 for &(slot, _) in &decided {
                     lead.in_flight.remove(&slot);
                 }
             }
-            self.decide_slots(decided, ballot, now);
+            self.decide(decided, ballot, now);
         }
     }
+
+    /// Every view member but this process, in seniority order.
+    fn peers(&self) -> Vec<ProcessId> {
+        self.view
+            .iter()
+            .filter(|&&p| p != self.me)
+            .copied()
+            .collect()
+    }
+}
+
+/// True if the `len` slots from `first` are all addressable: a
+/// peer-supplied range whose end overflows `u64` is dropped, not walked.
+fn fits(first: u64, len: usize) -> bool {
+    first.checked_add(len as u64).is_some()
 }
 
 #[cfg(test)]
@@ -1100,6 +986,35 @@ mod tests {
         }
     }
 
+    /// An unbatched, uncompacted log: one-command batches, window 8.
+    fn unbatched() -> ReplicatedLog {
+        ReplicatedLog::with_tuning(8, 1, usize::MAX)
+    }
+
+    fn accept(ballot: Ver, slot: u64, c: LogCmd) -> LogMsg {
+        LogMsg::AcceptBatch {
+            ballot,
+            first_slot: slot,
+            cmds: vec![c],
+        }
+    }
+
+    fn ack(ballot: Ver, slot: u64) -> LogMsg {
+        LogMsg::AcceptOkRange {
+            ballot,
+            first_slot: slot,
+            count: 1,
+        }
+    }
+
+    fn decide(ballot: Ver, slot: u64, c: LogCmd) -> LogMsg {
+        LogMsg::DecideBatch {
+            ballot,
+            first_slot: slot,
+            cmds: vec![c],
+        }
+    }
+
     fn recover_ok_empty(log: &mut ReplicatedLog, from: u32, ballot: Ver, at: Time) {
         log.on_message(
             ProcessId(from),
@@ -1114,7 +1029,7 @@ mod tests {
 
     #[test]
     fn leader_recovers_then_serves() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = unbatched();
         log.bind(ProcessId(0));
         installed(&mut log, 0, 0);
         // Recovery round goes out to both peers…
@@ -1128,18 +1043,18 @@ mod tests {
             recover_ok_empty(&mut log, p, 0, 2);
         }
         let out = log.take_outbox();
-        // Accept for slot 0 to both peers.
+        // A one-command accept for slot 0 to both peers.
         assert_eq!(out.len(), 2);
         assert!(matches!(
-            out[0].1,
-            LogMsg::Accept {
+            &out[0].1,
+            LogMsg::AcceptBatch {
                 ballot: 0,
-                slot: 0,
-                ..
-            }
+                first_slot: 0,
+                cmds,
+            } if cmds == &[cmd(9, 0)]
         ));
-        // One AcceptOk + self = 2 of 3: decided, replied, applied.
-        log.on_message(ProcessId(1), LogMsg::AcceptOk { ballot: 0, slot: 0 }, 3);
+        // One ack + self = 2 of 3: decided, replied, applied.
+        log.on_message(ProcessId(1), ack(0, 0), 3);
         let out = log.take_outbox();
         assert!(out
             .iter()
@@ -1150,7 +1065,7 @@ mod tests {
 
     #[test]
     fn acceptor_rejects_stale_ballots() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = unbatched();
         log.bind(ProcessId(1));
         installed(&mut log, 0, 0);
         log.take_outbox();
@@ -1158,48 +1073,31 @@ mod tests {
         installed(&mut log, 2, 0);
         log.take_outbox();
         // …so a ballot-1 accept is ignored.
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Accept {
-                ballot: 1,
-                slot: 0,
-                cmd: cmd(9, 0),
-            },
-            5,
-        );
+        log.on_message(ProcessId(0), accept(1, 0, cmd(9, 0)), 5);
         assert!(log.take_outbox().is_empty());
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Accept {
-                ballot: 2,
-                slot: 0,
-                cmd: cmd(9, 0),
-            },
-            6,
-        );
+        log.on_message(ProcessId(0), accept(2, 0, cmd(9, 0)), 6);
         assert!(matches!(
             log.take_outbox().as_slice(),
-            [(ProcessId(0), LogMsg::AcceptOk { ballot: 2, slot: 0 })]
+            [(
+                ProcessId(0),
+                LogMsg::AcceptOkRange {
+                    ballot: 2,
+                    first_slot: 0,
+                    count: 1
+                }
+            )]
         ));
     }
 
     #[test]
     fn recovery_adopts_highest_ballot_and_fills_gaps() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = unbatched();
         log.bind(ProcessId(1));
         // Follower first: accept slot 1 (not 0) at ballot 0 from the old
         // leader, then take over at ver 1.
         installed(&mut log, 0, 0);
         log.take_outbox();
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Accept {
-                ballot: 0,
-                slot: 1,
-                cmd: cmd(9, 1),
-            },
-            5,
-        );
+        log.on_message(ProcessId(0), accept(0, 1, cmd(9, 1)), 5);
         log.take_outbox();
         let members = vec![ProcessId(1), ProcessId(2)];
         log.on_member_event(
@@ -1225,15 +1123,18 @@ mod tests {
         let accepts: Vec<_> = out
             .iter()
             .filter_map(|(_, m)| match m {
-                LogMsg::Accept { slot, cmd, .. } => Some((*slot, *cmd)),
+                LogMsg::AcceptBatch {
+                    first_slot, cmds, ..
+                } => Some((*first_slot, cmds.clone())),
                 _ => None,
             })
             .collect();
-        // Slot 0 was a hole → no-op; slot 1 re-proposed with the adopted value.
-        assert_eq!(accepts, vec![(0, LogCmd::NOOP), (1, cmd(8, 4))]);
+        // Slot 0 was a hole → no-op; slot 1 re-proposed with the adopted
+        // value; at batch 1 each goes out as its own one-command batch.
+        assert_eq!(accepts, vec![(0, vec![LogCmd::NOOP]), (1, vec![cmd(8, 4)])]);
         // The 2-member view decides with the peer's ok.
-        log.on_message(ProcessId(2), LogMsg::AcceptOk { ballot: 1, slot: 0 }, 12);
-        log.on_message(ProcessId(2), LogMsg::AcceptOk { ballot: 1, slot: 1 }, 12);
+        log.on_message(ProcessId(2), ack(1, 0), 12);
+        log.on_message(ProcessId(2), ack(1, 1), 12);
         assert_eq!(log.committed(), &[LogCmd::NOOP, cmd(8, 4)]);
         assert_eq!(log.committed_ops(), 1);
         assert_eq!(log.ballots(), &[1, 1]);
@@ -1241,7 +1142,7 @@ mod tests {
 
     #[test]
     fn duplicate_requests_answer_from_the_log() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = unbatched();
         log.bind(ProcessId(0));
         installed(&mut log, 0, 0);
         log.take_outbox();
@@ -1251,7 +1152,7 @@ mod tests {
         log.take_outbox();
         log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 2);
         log.take_outbox();
-        log.on_message(ProcessId(1), LogMsg::AcceptOk { ballot: 0, slot: 0 }, 3);
+        log.on_message(ProcessId(1), ack(0, 0), 3);
         log.take_outbox();
         // Same command again: replied immediately, not re-proposed.
         log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 4);
@@ -1265,7 +1166,7 @@ mod tests {
 
     #[test]
     fn followers_redirect_clients() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = unbatched();
         log.bind(ProcessId(1));
         installed(&mut log, 0, 0);
         log.take_outbox();
@@ -1283,31 +1184,48 @@ mod tests {
 
     #[test]
     fn out_of_order_decides_apply_contiguously() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = unbatched();
         log.bind(ProcessId(2));
         installed(&mut log, 0, 0);
         log.take_outbox();
-        log.on_message(
+        log.on_message(ProcessId(0), decide(0, 1, cmd(9, 1)), 5);
+        assert!(log.committed().is_empty());
+        log.on_message(ProcessId(0), decide(0, 0, cmd(9, 0)), 6);
+        assert_eq!(log.committed(), &[cmd(9, 0), cmd(9, 1)]);
+        assert_eq!(log.applied_at(), &[6, 6]);
+    }
+
+    #[test]
+    fn decide_batches_apply_like_single_decides() {
+        // A two-command range above a hole parks until a one-command
+        // range fills the hole…
+        let mut batched = unbatched();
+        batched.bind(ProcessId(2));
+        installed(&mut batched, 0, 0);
+        batched.take_outbox();
+        batched.on_message(
             ProcessId(0),
-            LogMsg::Decide {
+            LogMsg::DecideBatch {
                 ballot: 0,
-                slot: 1,
-                cmd: cmd(9, 1),
+                first_slot: 1,
+                cmds: vec![cmd(9, 1), cmd(9, 2)],
             },
             5,
         );
-        assert!(log.committed().is_empty());
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Decide {
-                ballot: 0,
-                slot: 0,
-                cmd: cmd(9, 0),
-            },
-            6,
-        );
-        assert_eq!(log.committed(), &[cmd(9, 0), cmd(9, 1)]);
-        assert_eq!(log.applied_at(), &[6, 6]);
+        assert!(batched.committed().is_empty(), "slot 0 still missing");
+        batched.on_message(ProcessId(0), decide(0, 0, cmd(9, 0)), 6);
+        assert_eq!(batched.committed(), &[cmd(9, 0), cmd(9, 1), cmd(9, 2)]);
+        assert_eq!(batched.applied_at(), &[6, 6, 6]);
+        // …and ends in the state the same slots decided one by one give.
+        let mut single = unbatched();
+        single.bind(ProcessId(2));
+        installed(&mut single, 0, 0);
+        single.take_outbox();
+        for (slot, at) in [(1, 5), (2, 5), (0, 6)] {
+            single.on_message(ProcessId(0), decide(0, slot, cmd(9, slot)), at);
+        }
+        assert_eq!(batched.committed(), single.committed());
+        assert_eq!(batched.applied_at(), single.applied_at());
     }
 
     // ------------------------------------------------------------------
@@ -1363,32 +1281,68 @@ mod tests {
         assert_eq!(log.committed(), &[cmd(9, 0), cmd(9, 1), cmd(9, 2)]);
     }
 
+    // ------------------------------------------------------------------
+    // Peer input
+    // ------------------------------------------------------------------
+
+    /// Feeds `msg` from `from` and asserts the log neither panics nor
+    /// changes: no state, no outbound message, no flush request.
+    fn assert_dropped(log: &mut ReplicatedLog, from: u32, msg: LogMsg) {
+        let before = format!("{log:?}");
+        let shown = format!("{msg:?}");
+        log.on_message(ProcessId(from), msg, 9);
+        assert_eq!(format!("{log:?}"), before, "{shown} changed the log");
+    }
+
     #[test]
-    fn decide_batches_apply_like_single_decides() {
-        let mut log = ReplicatedLog::new(8);
-        log.bind(ProcessId(2));
-        installed(&mut log, 0, 0);
-        log.take_outbox();
-        log.on_message(
-            ProcessId(0),
-            LogMsg::DecideBatch {
-                ballot: 0,
-                first_slot: 1,
-                cmds: vec![cmd(9, 1), cmd(9, 2)],
-            },
-            5,
-        );
-        assert!(log.committed().is_empty(), "slot 0 still missing");
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Decide {
-                ballot: 0,
-                slot: 0,
-                cmd: cmd(9, 0),
-            },
-            6,
-        );
-        assert_eq!(log.committed(), &[cmd(9, 0), cmd(9, 1), cmd(9, 2)]);
+    fn slot_ranges_past_u64_max_are_dropped() {
+        let top = u64::MAX;
+        // A follower at the current ballot: each range overflows the slot
+        // space, so each message is dropped whole.
+        let mut follower = unbatched();
+        follower.bind(ProcessId(1));
+        installed(&mut follower, 0, 0);
+        follower.take_outbox();
+        let accept = LogMsg::AcceptBatch {
+            ballot: 0,
+            first_slot: top,
+            cmds: vec![cmd(9, 0), cmd(9, 1)],
+        };
+        assert_dropped(&mut follower, 0, accept);
+        let decide = LogMsg::DecideBatch {
+            ballot: 0,
+            first_slot: top - 1,
+            cmds: vec![cmd(9, 0), cmd(9, 1), cmd(9, 2)],
+        };
+        assert_dropped(&mut follower, 0, decide);
+        let sync_ok = LogMsg::SyncOk {
+            from: top,
+            snapshot: Some(Snapshot {
+                floor: 5,
+                clients: vec![],
+            }),
+            entries: vec![(0, cmd(9, 0)), (0, cmd(9, 1))],
+        };
+        assert_dropped(&mut follower, 0, sync_ok);
+        // A leader with slot 0 in flight: an ack whose range end
+        // overflows is walked only over the in-flight slots inside it —
+        // none — while an ack that covers slot 0 still decides it.
+        let mut leader = unbatched();
+        leader.bind(ProcessId(0));
+        installed(&mut leader, 0, 0);
+        for p in [1, 2] {
+            recover_ok_empty(&mut leader, p, 0, 1);
+        }
+        leader.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 2);
+        leader.take_outbox();
+        let ack_range = LogMsg::AcceptOkRange {
+            ballot: 0,
+            first_slot: top - 1,
+            count: top,
+        };
+        assert_dropped(&mut leader, 1, ack_range);
+        leader.on_message(ProcessId(1), ack(0, 0), 3);
+        assert_eq!(leader.committed(), &[cmd(9, 0)]);
     }
 
     // ------------------------------------------------------------------
@@ -1466,7 +1420,7 @@ mod tests {
         assert_eq!(snap.clients, vec![(ProcessId(9), mark)]);
         assert_eq!(entries.len(), 5, "O(tail), not O(log)");
         // A fresh replica boots from it: vectors restart at the floor.
-        let mut joiner = ReplicatedLog::new(8);
+        let mut joiner = unbatched();
         joiner.bind(ProcessId(5));
         joiner.on_member_event(
             MemberEvent::ViewInstalled {
@@ -1519,20 +1473,12 @@ mod tests {
 
     #[test]
     fn a_new_leader_re_replies_for_committed_commands() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = unbatched();
         log.bind(ProcessId(1));
         installed(&mut log, 0, 0);
         log.take_outbox();
         // Slot 0 committed under the old leader; its Reply died with it.
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Decide {
-                ballot: 0,
-                slot: 0,
-                cmd: cmd(9, 0),
-            },
-            5,
-        );
+        log.on_message(ProcessId(0), decide(0, 0, cmd(9, 0)), 5);
         log.take_outbox();
         log.on_member_event(
             MemberEvent::ViewInstalled {
@@ -1556,15 +1502,10 @@ mod tests {
     #[test]
     fn seqs_committed_out_of_order_leave_the_gap_proposable() {
         // (9,0) commits under the old leader p0, at ballot 0.
-        let mut log = ReplicatedLog::new(8);
+        let mut log = unbatched();
         log.bind(ProcessId(1));
         installed(&mut log, 0, 0);
-        let decide = LogMsg::Decide {
-            ballot: 0,
-            slot: 0,
-            cmd: cmd(9, 0),
-        };
-        log.on_message(ProcessId(0), decide, 5);
+        log.on_message(ProcessId(0), decide(0, 0, cmd(9, 0)), 5);
         // p1 takes over at ballot 1, and the client's (9,3) reaches it
         // before the retries of (9,1) and (9,2): it commits first.
         log.on_member_event(
@@ -1577,7 +1518,7 @@ mod tests {
         );
         recover_ok_empty(&mut log, 2, 1, 11);
         log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 3) }, 12);
-        log.on_message(ProcessId(2), LogMsg::AcceptOk { ballot: 1, slot: 1 }, 13);
+        log.on_message(ProcessId(2), ack(1, 1), 13);
         assert_eq!(log.committed(), &[cmd(9, 0), cmd(9, 3)]);
         log.take_outbox();
         // The retry of (9,1) is proposed, not answered as committed.
@@ -1585,7 +1526,7 @@ mod tests {
         let out = log.take_outbox();
         assert!(
             out.iter().any(
-                |(_, m)| matches!(m, LogMsg::Accept { slot: 2, cmd: c, .. } if *c == cmd(9, 1))
+                |(_, m)| matches!(m, LogMsg::AcceptBatch { first_slot: 2, cmds, .. } if cmds == &[cmd(9, 1)])
             ),
             "(9,1) must be proposed: {out:?}"
         );
@@ -1593,7 +1534,7 @@ mod tests {
         // The snapshot carries the gap: a replica booted from it proposes
         // (9,1) too, and still answers (9,3) as a duplicate.
         let snap = log.snapshot();
-        let mut solo = ReplicatedLog::new(8);
+        let mut solo = unbatched();
         solo.bind(ProcessId(3));
         solo.on_member_event(
             MemberEvent::ViewInstalled {
@@ -1616,7 +1557,7 @@ mod tests {
 
     #[test]
     fn recovered_commands_are_not_proposed_twice() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = unbatched();
         log.bind(ProcessId(1));
         let members = vec![ProcessId(1), ProcessId(2)];
         log.on_member_event(
@@ -1645,7 +1586,7 @@ mod tests {
         let accepts: Vec<u64> = out
             .iter()
             .filter_map(|(_, m)| match m {
-                LogMsg::Accept { slot, .. } => Some(*slot),
+                LogMsg::AcceptBatch { first_slot, .. } => Some(*first_slot),
                 _ => None,
             })
             .collect();

@@ -306,13 +306,21 @@ fn sparse_topology_replays_byte_identical() {
 /// seed, fault schedule)` with all of that in play, and the sharded
 /// engine must reproduce it event for event. The CI determinism job
 /// double-runs this scenario alongside the membership-only ones.
+///
+/// The pinned `(events, FNV-1a)` was recorded on the log that still had a
+/// separate per-slot wire path at batch 1 (`Accept`/`AcceptOk`/`Decide`),
+/// with only those three tags renamed to the range messages'
+/// (`log-accept` → `log-accept-batch`, `log-accept-ok` →
+/// `log-accept-ok-range`, `log-decide` → `log-decide-batch`). The log now
+/// sends one-command ranges instead, so the pin holding proves that every
+/// send, delivery, timer and stamp of the old path is reproduced.
 #[test]
 fn log_workload_replays_byte_identical() {
     use gmp::log::{LogClusterBuilder, LogConfig};
     let build = || {
-        // Pinned to the unbatched trim: this scenario documents the
-        // legacy per-slot wire path (PR 9); the batched path has its own
-        // scenario below.
+        // Pinned to the unbatched trim: one-command batches, one request
+        // in flight per client, no compaction; the batched trim has its
+        // own scenario below.
         let mut sim = LogClusterBuilder::new(5, 3)
             .seed(2024)
             .log_config(LogConfig::default().unbatched())
@@ -323,7 +331,12 @@ fn log_workload_replays_byte_identical() {
     let mut first = build();
     first.run_until(15_000);
     let reference = fingerprint(&first.trace().events);
-    assert!(!reference.is_empty(), "run produced no events");
+    assert_eq!(reference.len(), 32050, "log-workload event count drifted");
+    assert_eq!(
+        fnv1a(&reference),
+        0xbec0_489b_d60e_7cd4,
+        "log-workload trace drifted"
+    );
 
     let mut again = build();
     again.run_until(15_000);
@@ -349,7 +362,9 @@ fn log_workload_replays_byte_identical() {
 /// pipelining and a small compaction budget all active — the three
 /// mechanisms the unbatched trim never exercises. Replay and the sharded
 /// engine must reproduce it event for event; the CI determinism job
-/// double-runs this scenario too.
+/// double-runs this scenario too. The pinned `(events, FNV-1a)` was
+/// recorded before the log's separate per-slot path at batch 1 was
+/// removed; this scenario never used that path, so the pin must hold.
 #[test]
 fn batched_log_workload_replays_byte_identical() {
     use gmp::log::{LogClusterBuilder, LogConfig};
@@ -364,7 +379,12 @@ fn batched_log_workload_replays_byte_identical() {
     let mut first = build();
     first.run_until(15_000);
     let reference = fingerprint(&first.trace().events);
-    assert!(!reference.is_empty(), "run produced no events");
+    assert_eq!(reference.len(), 66703, "batched log event count drifted");
+    assert_eq!(
+        fnv1a(&reference),
+        0xd408_7c80_57e4_9b24,
+        "batched log trace drifted"
+    );
     // The flush timer and the compactor must both have been in play,
     // or this scenario pins less than it claims.
     assert!(
